@@ -4,7 +4,6 @@ from .closed_forms import (
     ClosedFormBranch,
     ClosedFormPlan,
     RkSeries,
-    closed_form_HK0,
     closed_form_HKL,
     closed_form_plan,
     nieto_truax,
@@ -38,7 +37,6 @@ from .normal_ordering import (
 )
 from .operators import (
     Branch,
-    ResummedSeries,
     dilate_bruteforce,
     lemma1_branches,
     parity_split_branches,
@@ -50,10 +48,7 @@ from .series import (
     BivarPoly,
     LambdaSeries,
     TruncationUnderflowError,
-    series_add,
-    series_diff_lambda,
     series_exp,
-    series_mul,
 )
 from .verify import (
     VerifyCase,
@@ -76,7 +71,6 @@ __all__ = [
     "LambdaSeries",
     "NormalOrderResult",
     "PoleError",
-    "ResummedSeries",
     "RkSeries",
     "SemiLinearOp",
     "TruncationUnderflowError",
@@ -84,7 +78,6 @@ __all__ = [
     "VerifyConfig",
     "VerifyReport",
     "apply_exp_op",
-    "closed_form_HK0",
     "closed_form_HKL",
     "closed_form_plan",
     "compose",
@@ -108,10 +101,7 @@ __all__ = [
     "rk_series",
     "run_appendix_sweep",
     "run_verification",
-    "series_add",
-    "series_diff_lambda",
     "series_exp",
-    "series_mul",
     "shift",
     "table_egf",
 ]

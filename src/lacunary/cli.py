@@ -14,7 +14,6 @@ import sys
 from fractions import Fraction
 
 from .closed_forms import (
-    closed_form_HK0,
     closed_form_HKL,
     closed_form_plan,
     nieto_truax,
@@ -38,7 +37,7 @@ def emit_series(kind: str, params: dict, order: int, fmt: str = "json") -> str:
     if kind == "egf":
         series = hermite_egf(order)
     elif kind == "hk0":
-        series = closed_form_HK0(params["K"], order)
+        series = closed_form_HKL(params["K"], 0, order)
     elif kind == "hkl":
         series = closed_form_HKL(params["K"], params.get("L", 0), order)
     elif kind == "dilated":
@@ -64,7 +63,10 @@ def _read_series(path: str | None) -> LambdaSeries:
     else:
         with open(path) as fh:
             data = json.load(fh)
-    return LambdaSeries.from_json(data)
+    try:
+        return LambdaSeries.from_json(data)
+    except (KeyError, TypeError) as exc:
+        raise UsageError(f"malformed series JSON: {exc!r}") from None
 
 
 def _parse_poly(text: str) -> BivarPoly:
@@ -159,9 +161,10 @@ def _dispatch(args) -> int:
         if args.kmin is None and args.kmax is None:
             report = run_appendix_sweep(output_path=args.out)
         else:
+            k_min = 2 if args.kmin is None else args.kmin
             cfg = VerifyConfig(
-                k_min=args.kmin or 2,
-                k_max=args.kmax or (args.kmin or 2),
+                k_min=k_min,
+                k_max=k_min if args.kmax is None else args.kmax,
                 l_min=args.lmin,
                 l_max=args.lmax,
                 n_max=args.nmax,

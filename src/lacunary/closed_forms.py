@@ -140,35 +140,27 @@ def _leibniz_prefactor(P: int, L: int, extra_ypow: int) -> BivarPoly:
 
 
 def _evaluate_plan(plan: ClosedFormPlan, L: int, order: int) -> LambdaSeries:
-    K = plan.K
-    out = LambdaSeries.zero(order)
-    for br in plan.branches:
-        for s in range(order + 1 - br.lambda_shift):
-            p0 = s + br.lambda_shift
-            P = br.x_power(K, s)
-            pref_poly = _leibniz_prefactor(P, L, br.y_power)
-            pref = pref_poly * (br.factorial_ratio(K, s) / fact(p0))
-            block = pfq_series(br.pfq_spec(s), order - p0)
-            for i, c in enumerate(block.coeffs):
-                if not c.is_zero():
-                    out.coeffs[p0 + i] = out.coeffs[p0 + i] + c * pref
-    return out
+    """Sum over branches and s of lambda^p0 * prefactor * pFq block."""
 
+    def terms():
+        for br in plan.branches:
+            for s in range(order + 1 - br.lambda_shift):
+                p0 = s + br.lambda_shift
+                pref = _leibniz_prefactor(br.x_power(plan.K, s), L, br.y_power)
+                pref = pref * (br.factorial_ratio(plan.K, s) / fact(p0))
+                block = pfq_series(br.pfq_spec(s), order - p0)
+                for i, c in enumerate(block.coeffs):
+                    for (xp, yp), v in (c * pref).terms.items():
+                        yield p0 + i, xp, yp, v
 
-def closed_form_HK0(K: int, order: int) -> LambdaSeries:
-    """K-tuple lacunary generating function: n! [lambda^n] = H_(nK)(x, y).
-
-    K=1 is the plain EGF and is delegated to :func:`hermite_egf`.
-    """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if K == 1:
-        return hermite_egf(order)
-    return _evaluate_plan(closed_form_plan(K), 0, order)
+    return LambdaSeries.collect(order, terms())
 
 
 def closed_form_HKL(K: int, L: int, order: int) -> LambdaSeries:
-    """K-tuple L-shifted closed form: n! [lambda^n] = H_(nK+L)(x, y)."""
+    """K-tuple L-shifted closed form: n! [lambda^n] = H_(nK+L)(x, y).
+
+    K=1 is the L-shifted plain EGF and is delegated to :func:`hermite_egf`.
+    """
     if K < 1:
         raise ValueError("K must be >= 1")
     if L < 0:
@@ -204,22 +196,20 @@ def rk_series(K: int, mu_order: int, lambda_order: int) -> RkSeries:
     """Assemble the (mu, lambda) series from the K-tuple closed form."""
     if mu_order < 0 or lambda_order < 0:
         raise ValueError("orders must be >= 0")
-    base = closed_form_HK0(K, lambda_order)
-    # substitute x -> x + 2*mu*y, collecting by mu-power
-    sub = [LambdaSeries.zero(lambda_order) for _ in range(mu_order + 1)]
-    for n, poly in enumerate(base.coeffs):
-        for (a, b), c in poly.terms.items():
-            for i in range(min(a, mu_order) + 1):
-                term = BivarPoly.monomial(c * comb(a, i) * 2**i, a - i, b + i)
-                sub[i].coeffs[n] = sub[i].coeffs[n] + term
+    base = closed_form_HKL(K, 0, lambda_order)
+    # substitute x -> x + 2*mu*y: sub[i] is the mu^i part
+    sub = [LambdaSeries.collect(lambda_order, (
+        (n, a - i, b + i, c * comb(a, i) * 2**i)
+        for n, poly in enumerate(base.coeffs)
+        for (a, b), c in poly.terms.items() if a >= i
+    )) for i in range(mu_order + 1)]
     # multiply by the mu-EGF exp(mu*x + mu^2*y)
     egf_mu = [hermite_poly(j) * Fraction(1, fact(j)) for j in range(mu_order + 1)]
-    mu_coeffs = []
-    for Lp in range(mu_order + 1):
-        acc = LambdaSeries.zero(lambda_order)
-        for j in range(Lp + 1):
-            acc = acc + sub[Lp - j] * egf_mu[j]
-        mu_coeffs.append(acc)
+    mu_coeffs = [
+        sum((sub[Lp - j] * egf_mu[j] for j in range(Lp + 1)),
+            LambdaSeries.zero(lambda_order))
+        for Lp in range(mu_order + 1)
+    ]
     return RkSeries(K, mu_order, lambda_order, tuple(mu_coeffs))
 
 

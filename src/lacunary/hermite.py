@@ -82,14 +82,9 @@ def hermite_coeff_table() -> CoeffTable:
 
 def table_egf(table: CoeffTable, order: int) -> LambdaSeries:
     """Reconstruct the EGF sum_r x^r sum_m lambda^(r+m)/(r+m)! g_{r,m}(y)."""
-    out = LambdaSeries.zero(order)
-    for r in range(order + 1):
-        for m in range(order + 1 - r):
-            g = table(r, m)
-            if g.is_zero():
-                continue
-            n = r + m
-            out.coeffs[n] = out.coeffs[n] + g * BivarPoly.monomial(
-                Fraction(1, fact(n)), r, 0
-            )
-    return out
+    return LambdaSeries.collect(order, (
+        (r + m, r + xp, yp, c / fact(r + m))
+        for r in range(order + 1)
+        for m in range(order + 1 - r)
+        for (xp, yp), c in table(r, m).terms.items()
+    ))

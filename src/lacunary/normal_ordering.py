@@ -46,21 +46,24 @@ class NormalOrderResult:
     order: int
 
 
+def _sum_x_powers(p: BivarPoly, start: LambdaSeries, step) -> LambdaSeries:
+    """sum_a step^a(start) * p_a(y), where p_a(y) multiplies x^a in p."""
+    by_xpow: dict[int, dict] = {}
+    for (a, b), c in p.terms.items():
+        by_xpow.setdefault(a, {})[(0, b)] = c
+    out = LambdaSeries.zero(start.order)
+    power = start
+    for a in range(max(by_xpow, default=0) + 1):
+        if a > 0:
+            power = step(power)
+        if a in by_xpow:
+            out = out + power * BivarPoly(by_xpow[a])
+    return out
+
+
 def compose(p: BivarPoly, series: LambdaSeries) -> LambdaSeries:
     """Substitute the series for x in p (y passes through unchanged)."""
-    by_xpow: dict[int, BivarPoly] = {}
-    for (a, b), c in p.terms.items():
-        by_xpow[a] = by_xpow.get(a, BivarPoly.zero()) + BivarPoly.monomial(c, 0, b)
-    out = LambdaSeries.zero(series.order)
-    power = LambdaSeries.one(series.order)
-    max_pow = max(by_xpow, default=0)
-    for a in range(max_pow + 1):
-        if a > 0:
-            power = power * series
-        coeff = by_xpow.get(a)
-        if coeff is not None:
-            out = out + power * coeff
-    return out
+    return _sum_x_powers(p, LambdaSeries.one(series.order), lambda s: s * series)
 
 
 def normal_order(op: SemiLinearOp, order: int) -> NormalOrderResult:
@@ -136,16 +139,4 @@ def crofton_check(m: int, y_coef, f: BivarPoly, g: BivarPoly, order: int) -> boo
         )
         return out + deriv.shifted(1)
 
-    by_xpow: dict[int, BivarPoly] = {}
-    for (a, b), coeff in f.terms.items():
-        by_xpow[a] = by_xpow.get(a, BivarPoly.zero()) + BivarPoly.monomial(coeff, 0, b)
-    rhs = LambdaSeries.zero(order)
-    powered = base
-    max_pow = max(by_xpow, default=0)
-    for a in range(max_pow + 1):
-        if a > 0:
-            powered = x_op(powered)
-        coeff = by_xpow.get(a)
-        if coeff is not None:
-            rhs = rhs + powered * coeff
-    return lhs == rhs
+    return lhs == _sum_x_powers(f, base, x_op)

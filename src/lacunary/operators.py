@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hermite import CoeffTable, fact
-from .series import BivarPoly, LambdaSeries, TruncationUnderflowError
+from .series import LambdaSeries, TruncationUnderflowError
 
 
 def dilate_bruteforce(series: LambdaSeries, K: int,
@@ -68,9 +68,6 @@ class Branch:
     m_step: int
     m_offset: int
 
-    def indices(self, K: int, s: int, t: int) -> tuple[int, int]:
-        return K * s + self.x_offset, self.m_step * t + self.m_offset
-
     def m_parity(self) -> int:
         """Parity of the second index; well-defined when m_step is even."""
         if self.m_step % 2 != 0:
@@ -78,35 +75,20 @@ class Branch:
         return self.m_offset % 2
 
 
-@dataclass(frozen=True)
-class ResummedSeries:
-    """A dilatation expressed as summand families over a coefficient table."""
+def _resum(table: CoeffTable, K: int, branches: tuple[Branch, ...],
+           order: int) -> LambdaSeries:
+    """Sum x^r lambda^p g_{r,m}(y) / p!, p = (r + m) / K, over the families.
 
-    K: int
-    table: CoeffTable
-    branches: tuple[Branch, ...]
-
-    def evaluate(self, order: int) -> LambdaSeries:
-        out = LambdaSeries.zero(order)
-        for br in self.branches:
-            for s in range(order + 1):
-                r = self.K * s + br.x_offset
-                # smallest lambda-power of this s-slice
-                if (r + br.m_offset) // self.K > order:
-                    break
-                t = 0
-                while True:
-                    m = br.m_step * t + br.m_offset
-                    p = (r + m) // self.K
-                    if p > order:
-                        break
-                    g = self.table(r, m)
-                    if not g.is_zero():
-                        out.coeffs[p] = out.coeffs[p] + g * BivarPoly.monomial(
-                            Fraction(1, fact(p)), r, 0
-                        )
-                    t += 1
-        return out
+    r + m < K * (order + 1) is exactly p <= order, and it bounds both loops.
+    """
+    end = K * (order + 1)
+    return LambdaSeries.collect(order, (
+        ((r + m) // K, r + xp, yp, c / fact((r + m) // K))
+        for br in branches
+        for r in range(br.x_offset, end, K)
+        for m in range(br.m_offset, end - r, br.m_step)
+        for (xp, yp), c in table(r, m).terms.items()
+    ))
 
 
 def lemma1_branches(K: int) -> tuple[Branch, ...]:
@@ -151,7 +133,7 @@ def resum_lemma1(table: CoeffTable, K: int, order: int) -> LambdaSeries:
     """Resummed K-fold dilatation of the table's EGF, truncated at `order`."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    return ResummedSeries(K, table, lemma1_branches(K)).evaluate(order)
+    return _resum(table, K, lemma1_branches(K), order)
 
 
 def resum_corollary1(table: CoeffTable, K: int,
@@ -162,6 +144,4 @@ def resum_corollary1(table: CoeffTable, K: int,
     table supported on even m the odd part is the zero series.
     """
     even_br, odd_br = parity_split_branches(K)
-    even = ResummedSeries(K, table, even_br).evaluate(order)
-    odd = ResummedSeries(K, table, odd_br).evaluate(order)
-    return even, odd
+    return _resum(table, K, even_br, order), _resum(table, K, odd_br, order)

@@ -57,6 +57,13 @@ class BivarPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _of(cls, terms: dict) -> "BivarPoly":
+        """Wrap a dict already free of zero coefficients, without copying it."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls) -> "BivarPoly":
         return cls()
 
@@ -90,16 +97,12 @@ class BivarPoly:
                 terms.pop(k, None)
             else:
                 terms[k] = s
-        out = BivarPoly.__new__(BivarPoly)
-        out.terms = terms
-        return out
+        return BivarPoly._of(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = BivarPoly.__new__(BivarPoly)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
+        return BivarPoly._of({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (Fraction, int)):
@@ -116,9 +119,7 @@ class BivarPoly:
             c = _frac(other)
             if c == 0:
                 return BivarPoly.zero()
-            out = BivarPoly.__new__(BivarPoly)
-            out.terms = {k: v * c for k, v in self.terms.items()}
-            return out
+            return BivarPoly._of({k: v * c for k, v in self.terms.items()})
         if not isinstance(other, BivarPoly):
             return NotImplemented
         terms = {}
@@ -130,9 +131,7 @@ class BivarPoly:
                     terms.pop(k, None)
                 else:
                     terms[k] = s
-        out = BivarPoly.__new__(BivarPoly)
-        out.terms = terms
-        return out
+        return BivarPoly._of(terms)
 
     __rmul__ = __mul__
 
@@ -159,6 +158,8 @@ class BivarPoly:
         return bool(self.terms)
 
     def __hash__(self):
+        if self.terms.keys() <= {(0, 0)}:  # a constant hashes like the number it equals
+            return hash(self.coefficient(0, 0))
         return hash(frozenset(self.terms.items()))
 
     # -- queries --------------------------------------------------------
@@ -278,6 +279,24 @@ class LambdaSeries:
             s.coeffs[power] = coeff
         return s
 
+    @classmethod
+    def collect(cls, order: int, terms) -> "LambdaSeries":
+        """Sum of c * x^xp * y^yp * lambda^p over the (p, xp, yp, c) in `terms`.
+
+        Terms with p > order are dropped.  Each lambda-coefficient is summed
+        in one dict and becomes a BivarPoly once, so sums of zero vanish.
+        """
+        sums = [{} for _ in range(order + 1)]
+        for p, xp, yp, c in terms:
+            if p <= order:
+                acc = sums[p]
+                key = (xp, yp)
+                acc[key] = acc[key] + c if key in acc else c
+        return cls(order, [
+            BivarPoly._of({k: _frac(c) for k, c in acc.items() if c != 0})
+            for acc in sums
+        ])
+
     def coefficient(self, n: int) -> BivarPoly:
         if n > self.order:
             raise TruncationUnderflowError(
@@ -317,20 +336,20 @@ class LambdaSeries:
         if not isinstance(other, LambdaSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        out = [BivarPoly.zero() for _ in range(n + 1)]
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a.is_zero():
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return LambdaSeries(n, out)
+        return LambdaSeries.collect(n, (
+            (i + j, ax + bx, ay + by, ac * bc)
+            for i, a in enumerate(self.coeffs[: n + 1])
+            for (ax, ay), ac in a.terms.items()
+            for j, b in enumerate(other.coeffs[: n + 1 - i])
+            for (bx, by), bc in b.terms.items()
+        ))
 
     __rmul__ = __mul__
 
     def shifted(self, k: int) -> "LambdaSeries":
         """Multiply by lambda^k, keeping the truncation order."""
+        if k < 0:
+            raise ValueError("negative lambda shift")
         if k == 0:
             return self
         coeffs = [BivarPoly.zero()] * (self.order + 1)
@@ -387,21 +406,6 @@ class LambdaSeries:
 
     def __repr__(self):
         return f"LambdaSeries(order={self.order}, {self})"
-
-
-def series_add(a: LambdaSeries, b: LambdaSeries) -> LambdaSeries:
-    """Coefficientwise sum at the minimum of the two orders."""
-    return a + b
-
-
-def series_mul(a: LambdaSeries, b: LambdaSeries) -> LambdaSeries:
-    """Cauchy product truncated at the minimum of the two orders."""
-    return a * b
-
-
-def series_diff_lambda(a: LambdaSeries, times: int) -> LambdaSeries:
-    """times-fold derivative in the series variable; order drops by `times`."""
-    return a.diff_lambda(times)
 
 
 def series_exp(a: LambdaSeries) -> LambdaSeries:

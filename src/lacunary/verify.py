@@ -27,7 +27,11 @@ DEFAULT_CAP = 60
 
 def factorial_cap() -> int:
     """Largest Hermite index the sweep may touch; LACUNAE_CAP overrides."""
-    return int(os.environ.get("LACUNAE_CAP", DEFAULT_CAP))
+    raw = os.environ.get("LACUNAE_CAP", DEFAULT_CAP)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"LACUNAE_CAP must be an integer, got {raw!r}") from None
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """CLI surface: subcommand behavior, determinism, report round-trips."""
 
+import io
 import json
 
 import pytest
@@ -109,3 +110,19 @@ class TestSubcommands:
     def test_usage_error_exit_code(self, capsys):
         assert main(["closed-form", "0", "0"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_verify_rejects_k_zero(self, capsys):
+        # 0 is a value, not "unset": the sweep must not fall back to K = 2
+        assert main(["verify", "--kmin", "0", "--kmax", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_malformed_series_json(self, capsys, monkeypatch):
+        for text in ('{"order":1}', '[1, 2]', '{"order":0,"coeffs":[[{"xp":0}]]}'):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            assert main(["dilate", "2"]) == 2, text
+            assert capsys.readouterr().err.startswith("error: "), text
+
+    def test_bad_cap_names_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("LACUNAE_CAP", "abc")
+        assert main(["verify", "--kmin", "2", "--kmax", "3"]) == 2
+        assert "LACUNAE_CAP" in capsys.readouterr().err

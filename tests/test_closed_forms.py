@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lacunary import (
     BivarPoly,
-    closed_form_HK0,
     closed_form_HKL,
     closed_form_plan,
+    dilate_bruteforce,
     fact,
     hermite_coeff_table,
     hermite_egf,
@@ -17,7 +19,9 @@ from lacunary import (
     nieto_truax,
     nieto_truax_partial_sum,
     resum_corollary1,
+    resum_lemma1,
     rk_series,
+    shift,
 )
 from lacunary.hypergeom import DomainError
 
@@ -72,18 +76,18 @@ class TestPlanStructure:
 
 class TestClosedFormHK0:
     def test_constant_term(self):
-        assert closed_form_HK0(3, 4).coeffs[0] == BivarPoly.constant(1)
+        assert closed_form_HKL(3, 0, 4).coeffs[0] == BivarPoly.constant(1)
 
     def test_k1_delegates_to_egf(self):
-        assert closed_form_HK0(1, 6) == hermite_egf(6)
+        assert closed_form_HKL(1, 0, 6) == hermite_egf(6)
 
     def test_k3_second_coefficient_is_h6(self):
-        s = closed_form_HK0(3, 2)
+        s = closed_form_HKL(3, 0, 2)
         assert s.coeffs[2] * fact(2) == hermite_poly(6)
 
     def test_oracle_sweep(self):
         for K in range(2, 9):
-            s = closed_form_HK0(K, 4)
+            s = closed_form_HKL(K, 0, 4)
             for n in range(5):
                 assert s.coeffs[n] * fact(n) == hermite_poly(n * K), (K, n)
 
@@ -91,7 +95,7 @@ class TestClosedFormHK0:
         table = hermite_coeff_table()
         for K in range(2, 9):
             even, _ = resum_corollary1(table, K, 4)
-            assert closed_form_HK0(K, 4) == even, K
+            assert closed_form_HKL(K, 0, 4) == even, K
 
     def test_factorial_ratio_is_hermite_coefficient(self):
         # the beta-branch ratio equals the coefficient of x^(K(s+1)-2b) y^b
@@ -109,17 +113,13 @@ class TestClosedFormHK0:
     def test_y0_specialization(self):
         # at y=0 every pFq block collapses to 1: lambda^n coefficient x^(nK)/n!
         for K in (3, 4):
-            s = closed_form_HK0(K, 5)
+            s = closed_form_HKL(K, 0, 5)
             for n in range(6):
                 y_free = {k: c for k, c in s.coeffs[n].terms.items() if k[1] == 0}
                 assert y_free == {(n * K, 0): Fraction(1, fact(n))}, (K, n)
 
 
 class TestClosedFormHKL:
-    def test_l0_equals_hk0(self):
-        for K in (2, 3, 4):
-            assert closed_form_HKL(K, 0, 4) == closed_form_HK0(K, 4)
-
     def test_constant_term_is_hl(self):
         for K in (2, 5):
             for L in (0, 1, 3):
@@ -142,10 +142,27 @@ class TestClosedFormHKL:
                     assert s.coeffs[n] * fact(n) == hermite_poly(n * K + L)
 
 
+@given(st.integers(1, 5), st.integers(0, 3), st.integers(0, 4))
+@settings(max_examples=50, deadline=None)
+def test_constructions_agree_with_oracle(K, L, n):
+    # the three constructions and the (mu, lambda) series, against H_(pK+L)/p!
+    want = [hermite_poly(p * K + L) * Fraction(1, fact(p)) for p in range(n + 1)]
+    built = [
+        closed_form_HKL(K, L, n),
+        dilate_bruteforce(shift(hermite_egf(K * n + L), L), K),
+        rk_series(K, L, n).hkl(L),
+    ]
+    if L == 0:
+        built.append(resum_lemma1(hermite_coeff_table(), K, n))
+    for series in built:
+        assert series.order == n
+        assert series.coeffs == want
+
+
 class TestRkSeries:
     def test_mu0_is_hk0(self):
         rk = rk_series(3, 2, 4)
-        assert rk.mu_coefficient(0) == closed_form_HK0(3, 4)
+        assert rk.mu_coefficient(0) == closed_form_HKL(3, 0, 4)
 
     def test_cross_validation(self):
         for K in (3, 4):

@@ -11,9 +11,6 @@ from lacunary import (
     BivarPoly,
     LambdaSeries,
     TruncationUnderflowError,
-    series_add,
-    series_diff_lambda,
-    series_mul,
 )
 
 rationals = st.fractions(
@@ -63,6 +60,14 @@ class TestBivarPoly:
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a
 
+    def test_constant_hash_agrees_with_eq(self):
+        assert hash(BivarPoly.constant(1)) == hash(1)
+        assert hash(BivarPoly.zero()) == hash(0)
+        assert BivarPoly.constant(Fraction(1, 2)) in {Fraction(1, 2)}
+        assert {0: "zero", 3: "three"}[BivarPoly.constant(3)] == "three"
+        assert 0 in {BivarPoly.zero()}
+        assert len({BivarPoly.constant(1), 1, Fraction(1)}) == 1
+
     @given(small_polys(), small_polys(), rationals, rationals)
     @settings(max_examples=50)
     def test_evaluation_is_a_homomorphism(self, a, b, xv, yv):
@@ -70,36 +75,53 @@ class TestBivarPoly:
         assert (a * b).evaluate(xv, yv) == a.evaluate(xv, yv) * b.evaluate(xv, yv)
 
 
+class TestCollect:
+    def test_merges_drops_zero_sums_and_ignores_high_powers(self):
+        s = LambdaSeries.collect(2, [
+            (1, 1, 0, Fraction(1, 2)),
+            (1, 1, 0, Fraction(1, 3)),   # same key: summed
+            (2, 0, 1, Fraction(3)),
+            (2, 0, 1, Fraction(-3)),     # cancels to nothing
+            (2, 2, 2, 4),
+            (3, 0, 0, Fraction(7)),      # beyond the order: ignored
+        ])
+        assert s.order == 2
+        assert s.coeffs[0].is_zero()
+        assert s.coeffs[1].terms == {(1, 0): Fraction(5, 6)}
+        assert s.coeffs[2].terms == {(2, 2): Fraction(4)}
+        assert isinstance(s.coeffs[2].coefficient(2, 2), Fraction)
+
+
 class TestSeriesAdd:
     def test_additive_identity(self):
         b = exp_series(2, 4)
-        assert series_add(LambdaSeries.zero(2), b) == b.truncate(2)
+        assert LambdaSeries.zero(2) + b == b.truncate(2)
 
     def test_additive_inverse(self):
         a = exp_series(1, 2)
-        assert series_add(a, -a).is_zero()
+        assert (a + -a).is_zero()
 
     def test_disjoint_supports(self):
         a = LambdaSeries.monomial(3, 1, 1)
         b = LambdaSeries.monomial(3, 2, 1)
-        s = series_add(a, b)
+        s = a + b
         assert s.coeffs[1] == 1 and s.coeffs[2] == 1 and s.coeffs[3].is_zero()
 
 
 class TestSeriesMul:
     def test_multiplicative_identity(self):
         b = exp_series(3, 4)
-        assert series_mul(LambdaSeries.one(4), b) == b
+        assert LambdaSeries.one(4) * b == b
 
     def test_exponential_product(self):
         # exp(lambda) * exp(lambda) = exp(2 lambda), checked term by term
         a = exp_series(1, 4)
-        assert series_mul(a, a) == exp_series(2, 4)
+        assert a * a == exp_series(2, 4)
 
     def test_difference_of_squares(self):
         one_plus = LambdaSeries(2, [1, 1, 0])
         one_minus = LambdaSeries(2, [1, -1, 0])
-        assert series_mul(one_plus, one_minus) == LambdaSeries(2, [1, 0, -1])
+        assert one_plus * one_minus == LambdaSeries(2, [1, 0, -1])
 
     @given(small_series(), small_series(), small_series())
     @settings(max_examples=25)
@@ -111,32 +133,39 @@ class TestSeriesMul:
 class TestDiffLambda:
     def test_identity_at_zero(self):
         a = exp_series(1, 3)
-        assert series_diff_lambda(a, 0) == a
+        assert a.diff_lambda(0) == a
 
     def test_power_rule(self):
         a = LambdaSeries.monomial(3, 3, 1)
-        d = series_diff_lambda(a, 2)
+        d = a.diff_lambda(2)
         assert d.order == 1
         assert d.coeffs[1] == 6
         assert d.coeffs[0].is_zero()
 
     def test_underflow_error(self):
         with pytest.raises(TruncationUnderflowError):
-            series_diff_lambda(LambdaSeries.zero(2), 3)
+            LambdaSeries.zero(2).diff_lambda(3)
 
     @given(small_series(order=4), st.integers(0, 4))
     @settings(max_examples=40)
     def test_coefficient_contract(self, a, times):
         # n! [lambda^n] of the derivative equals (n+times)! [lambda^(n+times)] of a
-        d = series_diff_lambda(a, times)
+        d = a.diff_lambda(times)
         for n in range(a.order - times + 1):
             assert d.coeffs[n] * factorial(n) == a.coeffs[n + times] * factorial(n + times)
 
     def test_egf_derivative_recovers_first_hermite(self):
         from lacunary import hermite_egf
 
-        d = series_diff_lambda(hermite_egf(5), 1)
+        d = hermite_egf(5).diff_lambda(1)
         assert d.coeffs[0] == BivarPoly.x()
+
+
+def test_shifted():
+    a = LambdaSeries(3, [1, 2, 0, 0])
+    assert a.shifted(2) == LambdaSeries(3, [0, 0, 1, 2])
+    with pytest.raises(ValueError):
+        a.shifted(-1)
 
 
 def test_series_json_roundtrip():
