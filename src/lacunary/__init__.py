@@ -55,7 +55,6 @@ from .verify import (
     VerifyConfig,
     VerifyReport,
     random_dense_table,
-    run_appendix_sweep,
     run_verification,
 )
 
@@ -99,7 +98,6 @@ __all__ = [
     "resum_corollary1",
     "resum_lemma1",
     "rk_series",
-    "run_appendix_sweep",
     "run_verification",
     "series_exp",
     "shift",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from .closed_forms import (
@@ -23,62 +24,122 @@ from .hermite import hermite_egf, hermite_poly
 from .normal_ordering import SemiLinearOp, normal_order
 from .operators import dilate_bruteforce, shift
 from .series import BivarPoly, LambdaSeries
-from .verify import VerifyConfig, run_appendix_sweep, run_verification
+from .verify import VerifyConfig, check_cap, run_verification
 
 
 class UsageError(ValueError):
     pass
 
 
+# kind -> (largest Hermite index, builder), both functions of (K, L, order)
+SERIES = {
+    "egf": (lambda K, L, n: n, lambda K, L, n: hermite_egf(n)),
+    "hk0": (lambda K, L, n: max(K, K * n), lambda K, L, n: closed_form_HKL(K, 0, n)),
+    "hkl": (lambda K, L, n: max(K, K * n) + L, closed_form_HKL),
+    "dilated": (lambda K, L, n: K * n,
+                lambda K, L, n: dilate_bruteforce(hermite_egf(K * n), K)),
+    "shifted": (lambda K, L, n: n + L, lambda K, L, n: shift(hermite_egf(n + L), L)),
+}
+
+
 def emit_series(kind: str, params: dict, order: int, fmt: str = "json") -> str:
     """Serialize one of the stock series; deterministic for identical inputs."""
     if fmt not in ("json", "text", "plan"):
         raise UsageError(f"unknown format {fmt!r}")
-    if kind == "egf":
-        series = hermite_egf(order)
-    elif kind == "hk0":
-        series = closed_form_HKL(params["K"], 0, order)
-    elif kind == "hkl":
-        series = closed_form_HKL(params["K"], params.get("L", 0), order)
-    elif kind == "dilated":
-        K = params["K"]
-        series = dilate_bruteforce(hermite_egf(order * K), K)
-    elif kind == "shifted":
-        L = params.get("L", 0)
-        series = shift(hermite_egf(order + L), L)
-    else:
+    if kind not in SERIES:
         raise UsageError(f"unknown series kind {kind!r}")
+    K, L = params.get("K"), params.get("L", 0)
     if fmt == "plan":
         if kind not in ("hk0", "hkl"):
             raise UsageError("plan format applies to closed forms only")
-        return json.dumps(closed_form_plan(params["K"]).to_json(), indent=2)
-    if fmt == "text":
-        return str(series)
+        check_cap(K)
+        return json.dumps(closed_form_plan(K).to_json(), indent=2)
+    largest, build = SERIES[kind]
+    check_cap(largest(K, L, order))
+    series = build(K, L, order)
+    return str(series) if fmt == "text" else json.dumps(series.to_json(), indent=2)
+
+
+def _open(path: str, mode: str = "r"):
+    """open(path, mode), with a path that cannot be opened reported as a usage error."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise UsageError(f"cannot open {path}: {exc.strerror}") from None
+
+
+def _parse(what: str, parse, text: str):
+    """parse(text), with malformed input reported as a usage error."""
+    try:
+        return parse(text)
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
+        raise UsageError(f"malformed {what}: {exc!r}") from None
+
+
+def _read_series(path: str) -> LambdaSeries:
+    with nullcontext(sys.stdin) if path == "-" else _open(path) as fh:
+        text = fh.read()
+    return _parse("series JSON", lambda t: LambdaSeries.from_json(json.loads(t)), text)
+
+
+def run_verify(args) -> int:
+    """Print the sweep's summary and return its exit status; --out names the report."""
+    if args.kmin is None and args.kmax is None:
+        # the default sweep: K = 3 and 4 to n = 16, K = 5 to n = 15, all at L = 0
+        cfg = VerifyConfig(k_min=3, k_max=5, l_max=0, n_max={3: 16, 4: 16, 5: 15})
+    else:
+        k_min = 2 if args.kmin is None else args.kmin
+        k_max = k_min if args.kmax is None else args.kmax
+        cfg = VerifyConfig(k_min=k_min, k_max=k_max, l_min=args.lmin, l_max=args.lmax,
+                           n_max=args.nmax, seed=args.seed)
+    report = run_verification(cfg)
+    if args.out:
+        with _open(args.out, "w") as fh:
+            json.dump(report.to_json(), fh, indent=2)
+    for case in report.cases:
+        if not case.passed:
+            print(f"FAIL {case.to_json()}")
+    print(f"{report.passed} passed, {report.failed} failed ({report.elapsed_ms:.0f} ms)")
+    return 0 if report.failed == 0 else 1
+
+
+def run_hermite(args) -> str:
+    check_cap(args.n)
+    poly = hermite_poly(args.n)
+    return json.dumps(poly.to_json(), indent=2) if args.format == "json" else str(poly)
+
+
+def run_emit(args) -> str:
+    return emit_series(args.kind, {"K": args.K, "L": args.L}, args.order, args.format)
+
+
+def run_dilate(args) -> str:
+    series = dilate_bruteforce(_read_series(args.infile), args.K)
     return json.dumps(series.to_json(), indent=2)
 
 
-def _read_series(path: str | None) -> LambdaSeries:
-    if path is None or path == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(path) as fh:
-            data = json.load(fh)
-    try:
-        return LambdaSeries.from_json(data)
-    except (KeyError, TypeError) as exc:
-        raise UsageError(f"malformed series JSON: {exc!r}") from None
+def run_shift(args) -> str:
+    return json.dumps(shift(_read_series(args.infile), args.L).to_json(), indent=2)
 
 
-def _parse_poly(text: str) -> BivarPoly:
-    return BivarPoly.from_json(json.loads(text))
+def run_normal_order(args) -> str:
+    q, v = (_parse(f"--{name}", lambda t: BivarPoly.from_json(json.loads(t)), text)
+            for name, text in (("q", args.q), ("v", args.v)))
+    check_cap(args.order)
+    result = normal_order(SemiLinearOp(q=q, v=v), args.order)
+    return json.dumps({"order": result.order, "T": result.T_series.to_json(),
+                       "g": result.g_series.to_json()}, indent=2)
 
 
-def _print(args, text: str):
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def run_nieto_truax(args) -> str:
+    import mpmath
+
+    lam, x, y = (_parse("number", Fraction, t) for t in (args.lam, args.x, args.y))
+    value = nieto_truax(args.K, args.L, lam, x, y, precision_bits=args.bits)
+    oracle = nieto_truax_partial_sum(args.K, args.L, lam, x, y, args.terms)
+    return json.dumps({"real": mpmath.nstr(value.real, 40),
+                       "imag": mpmath.nstr(value.imag, 40),
+                       "partial_sum": f"{oracle.numerator}/{oracle.denominator}"}, indent=2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,44 +150,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    v = sub.add_parser("verify", help="closed-form vs oracle sweep")
+    def command(name: str, run, help: str) -> argparse.ArgumentParser:
+        c = sub.add_parser(name, help=help)
+        c.add_argument("--out")
+        c.set_defaults(run=run)
+        return c
+
+    v = command("verify", run_verify, "closed-form vs oracle sweep")
     v.add_argument("--kmin", type=int)
     v.add_argument("--kmax", type=int)
     v.add_argument("--lmin", type=int, default=0)
     v.add_argument("--lmax", type=int, default=0)
     v.add_argument("--nmax", type=int, default=6)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--out")
 
-    h = sub.add_parser("hermite", help="print H_n(x, y)")
+    h = command("hermite", run_hermite, "print H_n(x, y)")
     h.add_argument("n", type=int)
     h.add_argument("--format", choices=("json", "text"), default="text")
-    h.add_argument("--out")
 
-    c = sub.add_parser("closed-form", help="K-tuple L-shifted closed form")
+    c = command("closed-form", run_emit, "K-tuple L-shifted closed form")
+    c.set_defaults(kind="hkl")
     c.add_argument("K", type=int)
     c.add_argument("L", type=int, nargs="?", default=0)
     c.add_argument("--order", type=int, default=4)
     c.add_argument("--format", choices=("json", "text", "plan"), default="text")
-    c.add_argument("--out")
 
-    d = sub.add_parser("dilate", help="K-fold dilatation of a JSON series")
+    d = command("dilate", run_dilate, "K-fold dilatation of a JSON series")
     d.add_argument("K", type=int)
     d.add_argument("--in", dest="infile", default="-")
-    d.add_argument("--out")
 
-    s = sub.add_parser("shift", help="L-fold lambda-derivative of a JSON series")
+    s = command("shift", run_shift, "L-fold lambda-derivative of a JSON series")
     s.add_argument("L", type=int)
     s.add_argument("--in", dest="infile", default="-")
-    s.add_argument("--out")
 
-    no = sub.add_parser("normal-order", help="solve the (T, g) IVP")
+    no = command("normal-order", run_normal_order, "solve the (T, g) IVP")
     no.add_argument("--q", required=True, help="JSON term list for q(x)")
     no.add_argument("--v", required=True, help="JSON term list for v(x)")
     no.add_argument("--order", type=int, default=6)
-    no.add_argument("--out")
 
-    nt = sub.add_parser("nieto-truax", help="roots-of-unity numeric evaluation")
+    nt = command("nieto-truax", run_nieto_truax, "roots-of-unity numeric evaluation")
     nt.add_argument("K", type=int)
     nt.add_argument("L", type=int)
     nt.add_argument("--lambda", dest="lam", default="1/10")
@@ -134,113 +196,30 @@ def build_parser() -> argparse.ArgumentParser:
     nt.add_argument("--y", default="1/2")
     nt.add_argument("--bits", type=int, default=256)
     nt.add_argument("--terms", type=int, default=30)
-    nt.add_argument("--out")
 
-    e = sub.add_parser("emit", help="serialize a stock series")
-    e.add_argument("kind", choices=("egf", "hk0", "hkl", "dilated", "shifted"))
+    e = command("emit", run_emit, "serialize a stock series")
+    e.add_argument("kind", choices=SERIES)
     e.add_argument("--K", type=int, default=2)
     e.add_argument("--L", type=int, default=0)
     e.add_argument("--order", type=int, default=4)
     e.add_argument("--format", choices=("json", "text", "plan"), default="json")
-    e.add_argument("--out")
 
     return p
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: its text goes to --out or stdout, bad input exits 2."""
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
-    except (UsageError, ValueError) as exc:
+        text = args.run(args)
+        if isinstance(text, int):  # verify printed its summary and wrote its report
+            return text
+        with _open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+            print(text, file=fh)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _dispatch(args) -> int:
-    if args.command == "verify":
-        if args.kmin is None and args.kmax is None:
-            report = run_appendix_sweep(output_path=args.out)
-        else:
-            k_min = 2 if args.kmin is None else args.kmin
-            cfg = VerifyConfig(
-                k_min=k_min,
-                k_max=k_min if args.kmax is None else args.kmax,
-                l_min=args.lmin,
-                l_max=args.lmax,
-                n_max=args.nmax,
-                seed=args.seed,
-                output_path=args.out,
-            )
-            report = run_verification(cfg)
-        for case in report.cases:
-            if not case.passed:
-                print(f"FAIL {case.to_json()}")
-        print(
-            f"{report.passed} passed, {report.failed} failed "
-            f"({report.elapsed_ms:.0f} ms)"
-        )
-        return 0 if report.failed == 0 else 1
-
-    if args.command == "hermite":
-        poly = hermite_poly(args.n)
-        text = json.dumps(poly.to_json(), indent=2) if args.format == "json" else str(poly)
-        _print(args, text)
-        return 0
-
-    if args.command == "closed-form":
-        _print(args, emit_series("hkl", {"K": args.K, "L": args.L},
-                                 args.order, args.format))
-        return 0
-
-    if args.command == "dilate":
-        series = dilate_bruteforce(_read_series(args.infile), args.K)
-        _print(args, json.dumps(series.to_json(), indent=2))
-        return 0
-
-    if args.command == "shift":
-        series = shift(_read_series(args.infile), args.L)
-        _print(args, json.dumps(series.to_json(), indent=2))
-        return 0
-
-    if args.command == "normal-order":
-        op = SemiLinearOp(q=_parse_poly(args.q), v=_parse_poly(args.v))
-        result = normal_order(op, args.order)
-        _print(args, json.dumps(
-            {
-                "order": result.order,
-                "T": result.T_series.to_json(),
-                "g": result.g_series.to_json(),
-            },
-            indent=2,
-        ))
-        return 0
-
-    if args.command == "nieto-truax":
-        lam, x, y = Fraction(args.lam), Fraction(args.x), Fraction(args.y)
-        value = nieto_truax(args.K, args.L, lam, x, y, precision_bits=args.bits)
-        oracle = nieto_truax_partial_sum(args.K, args.L, lam, x, y, args.terms)
-        _print(args, json.dumps(
-            {
-                "real": mpf_str(value.real),
-                "imag": mpf_str(value.imag),
-                "partial_sum": f"{oracle.numerator}/{oracle.denominator}",
-            },
-            indent=2,
-        ))
-        return 0
-
-    if args.command == "emit":
-        _print(args, emit_series(args.kind, {"K": args.K, "L": args.L},
-                                 args.order, args.format))
-        return 0
-
-    raise UsageError(f"unknown command {args.command!r}")
-
-
-def mpf_str(v) -> str:
-    import mpmath
-
-    return mpmath.nstr(v, 40)
+    return 0
 
 
 if __name__ == "__main__":

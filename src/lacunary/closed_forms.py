@@ -184,12 +184,9 @@ class RkSeries:
     lambda_order: int
     mu_coeffs: tuple[LambdaSeries, ...]
 
-    def mu_coefficient(self, L: int) -> LambdaSeries:
-        return self.mu_coeffs[L]
-
     def hkl(self, L: int) -> LambdaSeries:
         """L! * [mu^L], the L-shifted lacunary generating function."""
-        return self.mu_coefficient(L) * Fraction(fact(L))
+        return self.mu_coeffs[L] * Fraction(fact(L))
 
 
 def rk_series(K: int, mu_order: int, lambda_order: int) -> RkSeries:

@@ -44,14 +44,12 @@ class BivarPoly:
 
     def __init__(self, terms=None):
         clean = {}
-        if terms:
-            for (xp, yp), c in terms.items():
-                c = _frac(c)
-                if c != 0:
-                    if xp < 0 or yp < 0:
-                        raise ValueError(f"negative exponent in term ({xp},{yp})")
-                    clean[(xp, yp)] = clean.get((xp, yp), Fraction(0)) + c
-            clean = {k: v for k, v in clean.items() if v != 0}
+        for (xp, yp), c in (terms or {}).items():
+            c = _frac(c)
+            if c != 0:
+                if xp < 0 or yp < 0:
+                    raise ValueError(f"negative exponent in term ({xp},{yp})")
+                clean[(xp, yp)] = c
         self.terms = clean
 
     # -- constructors -------------------------------------------------
@@ -207,12 +205,12 @@ class BivarPoly:
 
     @classmethod
     def from_json(cls, data: list) -> "BivarPoly":
-        return cls(
-            {
-                (t["xp"], t["yp"]): Fraction(int(t["num"]), int(t["den"]))
-                for t in data
-            }
-        )
+        if not isinstance(data, list):
+            raise TypeError(f"a polynomial is a JSON list of terms, got {data!r}")
+        terms = {(t["xp"], t["yp"]): Fraction(int(t["num"]), int(t["den"])) for t in data}
+        if len(terms) < len(data) or any(type(e) is not int for k in terms for e in k):
+            raise TypeError("polynomial terms need distinct integer exponents")
+        return cls(terms)
 
     def __str__(self):
         if not self.terms:

@@ -22,16 +22,18 @@ from .hermite import CoeffTable, fact, hermite_coeff_table, hermite_egf, hermite
 from .operators import dilate_bruteforce, resum_corollary1, resum_lemma1
 from .series import BivarPoly, LambdaSeries
 
-DEFAULT_CAP = 60
+DEFAULT_CAP = 120
 
 
-def factorial_cap() -> int:
-    """Largest Hermite index the sweep may touch; LACUNAE_CAP overrides."""
+def check_cap(index: int) -> None:
+    """Reject a run whose largest Hermite index exceeds LACUNAE_CAP."""
     raw = os.environ.get("LACUNAE_CAP", DEFAULT_CAP)
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ValueError(f"LACUNAE_CAP must be an integer, got {raw!r}") from None
+    if index > cap:
+        raise ValueError(f"Hermite index {index} exceeds LACUNAE_CAP={cap} (set it higher)")
 
 
 @dataclass
@@ -40,7 +42,7 @@ class VerifyConfig:
     k_max: int = 6
     l_min: int = 0
     l_max: int = 3
-    n_max: int = 6
+    n_max: int | dict[int, int] = 6
     seed: int = 0
     output_path: str | None = None
 
@@ -49,13 +51,11 @@ class VerifyConfig:
             raise ValueError("K range must lie within [1, 12]")
         if self.l_min < 0 or self.l_min > self.l_max:
             raise ValueError("invalid L range")
-        cap = factorial_cap()
-        worst = self.n_max * self.k_max + self.l_max
-        if worst > cap:
-            raise ValueError(
-                f"n_max*k_max+l_max = {worst} exceeds cap {cap} "
-                "(set LACUNAE_CAP to raise)"
-            )
+        ks = range(self.k_min, self.k_max + 1)
+        check_cap(max(self.n_for(K) * K for K in ks) + self.l_max)
+
+    def n_for(self, K: int) -> int:
+        return self.n_max[K] if isinstance(self.n_max, dict) else self.n_max
 
 
 @dataclass
@@ -191,27 +191,10 @@ def run_verification(cfg: VerifyConfig) -> VerifyReport:
     report = VerifyReport()
     for K in range(cfg.k_min, cfg.k_max + 1):
         for L in range(cfg.l_min, cfg.l_max + 1):
-            report.cases.extend(coefficient_cases(K, L, cfg.n_max))
+            report.cases.extend(coefficient_cases(K, L, cfg.n_for(K)))
         report.cases.extend(resummation_cases(K, cfg.seed))
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
-    _maybe_write(report, cfg.output_path)
-    return report
-
-
-def run_appendix_sweep(output_path: str | None = None) -> VerifyReport:
-    """The default sweep: K=3 and K=4 up to n=16, K=5 up to n=15, all L=0."""
-    start = time.perf_counter()
-    report = VerifyReport()
-    for K, n_max in ((3, 16), (4, 16), (5, 15)):
-        # n=0 is trivially H_0; the reference runs start at n=1 but it costs nothing
-        report.cases.extend(coefficient_cases(K, 0, n_max))
-        report.cases.extend(resummation_cases(K, seed=0))
-    report.elapsed_ms = (time.perf_counter() - start) * 1000.0
-    _maybe_write(report, output_path)
-    return report
-
-
-def _maybe_write(report: VerifyReport, path: str | None):
-    if path:
-        with open(path, "w") as fh:
+    if cfg.output_path:
+        with open(cfg.output_path, "w") as fh:
             json.dump(report.to_json(), fh, indent=2)
+    return report

@@ -2,16 +2,25 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lacunary
 from lacunary.cli import UsageError, emit_series, main
-from lacunary.verify import (
-    VerifyConfig,
-    VerifyReport,
-    run_appendix_sweep,
-    run_verification,
-)
+from lacunary.verify import VerifyConfig, VerifyReport, run_verification
+
+
+CAPPED = [
+    ["closed-form", "3", "--order", "2000"],
+    ["closed-form", "100000", "--order", "0"],
+    ["hermite", "100000000"],
+    ["emit", "egf", "--order", "1000"],
+    ["normal-order", "--q", "[]", "--v", "[]", "--order", "1000"],
+]
 
 
 class TestEmitSeries:
@@ -45,6 +54,14 @@ class TestEmitSeries:
         with pytest.raises(UsageError):
             emit_series("egf", {}, 2, "plan")
 
+    def test_plan_builds_no_series(self, capsys):
+        # the plan depends on K alone: an order past the cap changes nothing
+        outs = []
+        for order in ("1000", "0"):
+            assert main(["closed-form", "8", "--format", "plan", "--order", order]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
 
 class TestVerify:
     def test_report_round_trip(self):
@@ -68,7 +85,8 @@ class TestVerify:
             VerifyConfig(k_min=0, k_max=3)
 
     def test_appendix_sweep_passes(self):
-        report = run_appendix_sweep()
+        cfg = VerifyConfig(k_min=3, k_max=5, l_max=0, n_max={3: 16, 4: 16, 5: 15})
+        report = run_verification(cfg)
         assert report.failed == 0
 
     def test_determinism_modulo_timing(self):
@@ -121,6 +139,46 @@ class TestSubcommands:
             monkeypatch.setattr("sys.stdin", io.StringIO(text))
             assert main(["dilate", "2"]) == 2, text
             assert capsys.readouterr().err.startswith("error: "), text
+
+    @pytest.mark.parametrize("argv", CAPPED, ids=" ".join)
+    def test_size_cap(self, argv):
+        # a fresh process with a timeout: without the cap each of these runs for minutes
+        env = {k: v for k, v in os.environ.items() if k != "LACUNAE_CAP"}
+        env["PYTHONPATH"] = str(Path(lacunary.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-m", "lacunary.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "LACUNAE_CAP" in proc.stderr
+
+    def test_default_sweep_is_capped(self, capsys, monkeypatch):
+        # the default sweep reaches H_75 (K = 5, n = 15)
+        monkeypatch.setenv("LACUNAE_CAP", "74")
+        assert main(["verify"]) == 2
+        assert "LACUNAE_CAP" in capsys.readouterr().err
+        monkeypatch.setenv("LACUNAE_CAP", "75")
+        assert main(["verify"]) == 0
+        assert capsys.readouterr().out.startswith("59 passed, 0 failed")
+
+    @pytest.mark.parametrize("argv", [
+        ["normal-order", "--q", '[{"xp":0}]', "--v", "[]"],
+        ["normal-order", "--q", "{}", "--v", "[]"],
+        ["normal-order", "--q", "[]", "--v", '[{"xp":0,"yp":0,"num":"1","den":"0"}]'],
+        ["normal-order", "--q", '[{"xp":1.5,"yp":0,"num":"1","den":"1"}]', "--v", "[]"],
+        ["normal-order", "--q", "[]", "--v", '[{"xp":1,"yp":0,"num":"1","den":"1"},'
+                                             '{"xp":1,"yp":0,"num":"2","den":"1"}]'],
+        ["nieto-truax", "2", "0", "--lambda", "1/0"],
+    ], ids=" ".join)
+    def test_malformed_input(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unopenable_paths(self, capsys, tmp_path):
+        missing = tmp_path / "missing"
+        for argv in (["dilate", "2", "--in", str(missing / "in.json")],
+                     ["hermite", "3", "--out", str(missing / "x")],
+                     ["verify", "--kmin", "2", "--nmax", "1", "--out", str(missing / "r")]):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err.startswith("error: cannot open "), argv
 
     def test_bad_cap_names_variable(self, capsys, monkeypatch):
         monkeypatch.setenv("LACUNAE_CAP", "abc")

@@ -162,7 +162,7 @@ def test_constructions_agree_with_oracle(K, L, n):
 class TestRkSeries:
     def test_mu0_is_hk0(self):
         rk = rk_series(3, 2, 4)
-        assert rk.mu_coefficient(0) == closed_form_HKL(3, 0, 4)
+        assert rk.mu_coeffs[0] == closed_form_HKL(3, 0, 4)
 
     def test_cross_validation(self):
         for K in (3, 4):

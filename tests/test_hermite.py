@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from lacunary import (
     BivarPoly,
     LambdaSeries,
@@ -51,6 +53,17 @@ class TestHermitePoly:
                 got[xp] = got.get(xp, Fraction(0)) + c * 2**xp * Fraction(-1) ** yp
             got = {p: c for p, c in got.items() if c != 0}
             assert got == expected, n
+
+    def test_sympy_physicists_hermite(self):
+        # an oracle outside the package: H_n(2x, -1) is sympy's physicists' H_n(x)
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        for n in range(31):
+            got = sum(
+                sympy.Rational(c.numerator, c.denominator) * (2 * x) ** xp * (-1) ** yp
+                for (xp, yp), c in hermite_poly(n).terms.items()
+            )
+            assert sympy.expand(got - sympy.hermite(n, x)) == 0, n
 
     def test_degree_and_y0_specialization(self):
         for n in range(20):
