@@ -76,6 +76,13 @@ def _parse(what: str, parse, text: str):
         raise UsageError(f"malformed {what}: {exc!r}") from None
 
 
+def _write(out: str | None, text: str) -> int:
+    """Print text to the file out, or to stdout if out is unset; exit status 0."""
+    with _open(out, "w") if out else nullcontext(sys.stdout) as fh:
+        print(text, file=fh)
+    return 0
+
+
 def _read_series(path: str) -> LambdaSeries:
     with nullcontext(sys.stdin) if path == "-" else _open(path) as fh:
         text = fh.read()
@@ -125,7 +132,7 @@ def run_shift(args) -> str:
 def run_normal_order(args) -> str:
     q, v = (_parse(f"--{name}", lambda t: BivarPoly.from_json(json.loads(t)), text)
             for name, text in (("q", args.q), ("v", args.v)))
-    check_cap(args.order)
+    check_cap(args.order * max(1, q.degree_x(), v.degree_x()))
     result = normal_order(SemiLinearOp(q=q, v=v), args.order)
     return json.dumps({"order": result.order, "T": result.T_series.to_json(),
                        "g": result.g_series.to_json()}, indent=2)
@@ -153,10 +160,12 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name: str, run, help: str) -> argparse.ArgumentParser:
         c = sub.add_parser(name, help=help)
         c.add_argument("--out")
-        c.set_defaults(run=run)
+        c.set_defaults(run=lambda args: _write(args.out, run(args)))
         return c
 
-    v = command("verify", run_verify, "closed-form vs oracle sweep")
+    v = sub.add_parser("verify", help="closed-form vs oracle sweep")
+    v.add_argument("--out", help="write the JSON report here")
+    v.set_defaults(run=run_verify)
     v.add_argument("--kmin", type=int)
     v.add_argument("--kmax", type=int)
     v.add_argument("--lmin", type=int, default=0)
@@ -208,18 +217,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand: its text goes to --out or stdout, bad input exits 2."""
+    """Run one subcommand and return its exit status; bad input exits 2."""
     args = build_parser().parse_args(argv)
     try:
-        text = args.run(args)
-        if isinstance(text, int):  # verify printed its summary and wrote its report
-            return text
-        with _open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
-            print(text, file=fh)
+        return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ constraint).  On failure a report pinpoints the first differing monomial.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import time
@@ -23,17 +22,19 @@ from .operators import dilate_bruteforce, resum_corollary1, resum_lemma1
 from .series import BivarPoly, LambdaSeries
 
 DEFAULT_CAP = 120
+RESUM_ORDER = 5  # lambda-order of each K's resummation checks, which build H_(5K)
 
 
-def check_cap(index: int) -> None:
-    """Reject a run whose largest Hermite index exceeds LACUNAE_CAP."""
+def check_cap(size: int) -> None:
+    """Reject a run larger than LACUNAE_CAP: its size is the largest Hermite index it
+    builds, or for normal-order the order times the x-degree of q and v."""
     raw = os.environ.get("LACUNAE_CAP", DEFAULT_CAP)
     try:
         cap = int(raw)
     except ValueError:
         raise ValueError(f"LACUNAE_CAP must be an integer, got {raw!r}") from None
-    if index > cap:
-        raise ValueError(f"Hermite index {index} exceeds LACUNAE_CAP={cap} (set it higher)")
+    if size > cap:
+        raise ValueError(f"size {size} exceeds LACUNAE_CAP={cap} (set it higher)")
 
 
 @dataclass
@@ -44,7 +45,6 @@ class VerifyConfig:
     l_max: int = 3
     n_max: int | dict[int, int] = 6
     seed: int = 0
-    output_path: str | None = None
 
     def __post_init__(self):
         if not (1 <= self.k_min <= self.k_max <= 12):
@@ -52,7 +52,7 @@ class VerifyConfig:
         if self.l_min < 0 or self.l_min > self.l_max:
             raise ValueError("invalid L range")
         ks = range(self.k_min, self.k_max + 1)
-        check_cap(max(self.n_for(K) * K for K in ks) + self.l_max)
+        check_cap(max(max(self.n_for(K) * K + self.l_max, RESUM_ORDER * K) for K in ks))
 
     def n_for(self, K: int) -> int:
         return self.n_max[K] if isinstance(self.n_max, dict) else self.n_max
@@ -167,7 +167,7 @@ def coefficient_cases(K: int, L: int, n_max: int) -> list[VerifyCase]:
     return cases
 
 
-def resummation_cases(K: int, seed: int, order: int = 5) -> list[VerifyCase]:
+def resummation_cases(K: int, seed: int, order: int = RESUM_ORDER) -> list[VerifyCase]:
     """Lemma-vs-brute-force and parity-split checks for a single K."""
     table = hermite_coeff_table()
     resummed = resum_lemma1(table, K, order)
@@ -194,7 +194,4 @@ def run_verification(cfg: VerifyConfig) -> VerifyReport:
             report.cases.extend(coefficient_cases(K, L, cfg.n_for(K)))
         report.cases.extend(resummation_cases(K, cfg.seed))
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
-    if cfg.output_path:
-        with open(cfg.output_path, "w") as fh:
-            json.dump(report.to_json(), fh, indent=2)
     return report

@@ -20,6 +20,8 @@ CAPPED = [
     ["hermite", "100000000"],
     ["emit", "egf", "--order", "1000"],
     ["normal-order", "--q", "[]", "--v", "[]", "--order", "1000"],
+    ["normal-order", "--q", '[{"xp":100000000,"yp":0,"num":"1","den":"1"}]', "--v", "[]"],
+    ["normal-order", "--q", "[]", "--v", '[{"xp":100000000,"yp":0,"num":"1","den":"1"}]'],
 ]
 
 
@@ -84,10 +86,17 @@ class TestVerify:
         with pytest.raises(ValueError):
             VerifyConfig(k_min=0, k_max=3)
 
-    def test_appendix_sweep_passes(self):
-        cfg = VerifyConfig(k_min=3, k_max=5, l_max=0, n_max={3: 16, 4: 16, 5: 15})
-        report = run_verification(cfg)
-        assert report.failed == 0
+    def test_appendix_sweep_passes(self, capsys, monkeypatch):
+        # the default sweep reaches H_75 (K = 5, n = 15), so a cap of 75 admits it
+        monkeypatch.setenv("LACUNAE_CAP", "75")
+        assert main(["verify"]) == 0
+        assert capsys.readouterr().out.startswith("59 passed, 0 failed")
+
+    def test_resummation_is_capped(self, monkeypatch):
+        # n_max * K + l_max = 12, but the resummation checks build H_60
+        monkeypatch.setenv("LACUNAE_CAP", "20")
+        with pytest.raises(ValueError, match="LACUNAE_CAP"):
+            VerifyConfig(k_min=12, k_max=12, l_max=0, n_max=1)
 
     def test_determinism_modulo_timing(self):
         cfg = VerifyConfig(k_min=2, k_max=2, n_max=2, seed=5)
@@ -97,8 +106,7 @@ class TestVerify:
 
     def test_report_written(self, tmp_path):
         out = tmp_path / "report.json"
-        cfg = VerifyConfig(k_min=2, k_max=2, n_max=1, output_path=str(out))
-        run_verification(cfg)
+        assert main(["verify", "--kmin", "2", "--nmax", "1", "--out", str(out)]) == 0
         data = json.loads(out.read_text())
         assert data["failed"] == 0
         assert data["passed"] == len(data["cases"])
@@ -151,13 +159,10 @@ class TestSubcommands:
         assert proc.stderr.startswith("error: ") and "LACUNAE_CAP" in proc.stderr
 
     def test_default_sweep_is_capped(self, capsys, monkeypatch):
-        # the default sweep reaches H_75 (K = 5, n = 15)
+        # one below the H_75 that the default sweep reaches: rejected before it runs
         monkeypatch.setenv("LACUNAE_CAP", "74")
         assert main(["verify"]) == 2
         assert "LACUNAE_CAP" in capsys.readouterr().err
-        monkeypatch.setenv("LACUNAE_CAP", "75")
-        assert main(["verify"]) == 0
-        assert capsys.readouterr().out.startswith("59 passed, 0 failed")
 
     @pytest.mark.parametrize("argv", [
         ["normal-order", "--q", '[{"xp":0}]', "--v", "[]"],
