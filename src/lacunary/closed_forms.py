@@ -17,7 +17,7 @@ Everything is materialized only as truncated exact series: each branch's
 minimum lambda-power grows with s, so the s-cut is exact.
 
 The roots-of-unity evaluation (a different, non-lacunary generating
-function) lives on a separate numeric path using mpmath.
+function) lives on a separate numeric path using mpmath, imported only there.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-
-import mpmath
 
 from .hermite import fact, hermite_egf, hermite_poly
 from .hypergeom import DomainError, HypergeomSpec, pfq_series
@@ -128,30 +126,40 @@ def closed_form_plan(K: int) -> ClosedFormPlan:
     return ClosedFormPlan(K, tuple(branches))
 
 
-def _leibniz_prefactor(P: int, L: int, extra_ypow: int) -> BivarPoly:
-    """The mu-derivative expansion of x^P: sum_q q! C(L,q) C(P,q) H_{L-q} x^(P-q) (2y)^q."""
+def _leibniz_prefactor(P: int, H: list[BivarPoly], extra_ypow: int) -> BivarPoly:
+    """The mu-derivative expansion of x^P: sum_q q! C(L,q) C(P,q) H_{L-q} x^(P-q) (2y)^q.
+
+    H holds H_0 ... H_L, so L = len(H) - 1.
+    """
+    L = len(H) - 1
     if L == 0:
         return BivarPoly.monomial(1, P, extra_ypow)
     out = BivarPoly.zero()
     for q in range(min(L, P) + 1):
         c = Fraction(fact(q) * comb(L, q) * comb(P, q) * 2**q)
-        out = out + hermite_poly(L - q) * BivarPoly.monomial(c, P - q, q + extra_ypow)
+        out = out + H[L - q] * BivarPoly.monomial(c, P - q, q + extra_ypow)
     return out
 
 
 def _evaluate_plan(plan: ClosedFormPlan, L: int, order: int) -> LambdaSeries:
-    """Sum over branches and s of lambda^p0 * prefactor * pFq block."""
+    """Sum over branches and s of lambda^p0 * prefactor * pFq block.
+
+    Every block coefficient is a monomial, multiplied straight into the
+    prefactor's terms.
+    """
+    H = [hermite_poly(j) for j in range(L + 1)]
 
     def terms():
         for br in plan.branches:
             for s in range(order + 1 - br.lambda_shift):
                 p0 = s + br.lambda_shift
-                pref = _leibniz_prefactor(br.x_power(plan.K, s), L, br.y_power)
+                pref = _leibniz_prefactor(br.x_power(plan.K, s), H, br.y_power)
                 pref = pref * (br.factorial_ratio(plan.K, s) / fact(p0))
                 block = pfq_series(br.pfq_spec(s), order - p0)
                 for i, c in enumerate(block.coeffs):
-                    for (xp, yp), v in (c * pref).terms.items():
-                        yield p0 + i, xp, yp, v
+                    for (bx, by), bv in c.terms.items():
+                        for (xp, yp), v in pref.terms.items():
+                            yield p0 + i, xp + bx, yp + by, v * bv
 
     return LambdaSeries.collect(order, terms())
 
@@ -222,6 +230,7 @@ def nieto_truax(K: int, L: int, lam, x, y, precision_bits: int = 256):
         raise DomainError("require 0 <= L < K")
     if precision_bits < 64:
         raise DomainError("precision_bits must be >= 64")
+    import mpmath  # deferred: only this numeric path needs it
 
     def to_mpf(v):
         if isinstance(v, Fraction):

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hermite import fact
 from .series import BivarPoly, LambdaSeries
 
 
@@ -90,25 +89,34 @@ def _check_pole(b: Fraction, s: int, term: int):
 
 
 def pfq_series(spec: HypergeomSpec, order: int) -> LambdaSeries:
-    """Truncated pFq block: sum over s with s * arg_lpow <= order."""
+    """Truncated pFq block: sum over s with s * arg_lpow <= order.
+
+    Term s comes from term s-1 through the term ratio
+    z * prod(a + s-1) / (s * prod(b + s-1)), on integer numerators and
+    denominators with one gcd per term.  Every lower parameter is checked
+    for a pole at every s, also after an upper parameter has made the terms 0.
+    """
     if spec.arg_lpow < 1:
         raise DomainError("argument must carry a positive lambda-power")
     out = LambdaSeries.zero(order)
-    s = 0
-    while s * spec.arg_lpow <= order:
-        num = Fraction(1)
-        for a in spec.upper:
-            num *= pochhammer(a, s)
-        den = Fraction(fact(s))
+    c = Fraction(1)
+    for s in range(order // spec.arg_lpow + 1):
         for b in spec.lower:
             _check_pole(b, s, s)
-            den *= pochhammer(b, s)
-        c = spec.arg_coef**s * num / den
-        if c != 0:
+        if s and c:
+            num = c.numerator * spec.arg_coef.numerator
+            den = c.denominator * spec.arg_coef.denominator * s
+            for a in spec.upper:
+                num *= a.numerator + (s - 1) * a.denominator
+                den *= a.denominator
+            for b in spec.lower:
+                num *= b.denominator
+                den *= b.numerator + (s - 1) * b.denominator
+            c = Fraction(num, den)
+        if c:
             out.coeffs[s * spec.arg_lpow] = BivarPoly.monomial(
                 c, s * spec.arg_xpow, s * spec.arg_ypow
             )
-        s += 1
     return out
 
 

@@ -32,6 +32,18 @@ def _frac(value) -> Fraction:
     return Fraction(value)
 
 
+def _accumulate(terms: dict, k, c: Fraction):
+    """terms[k] += c for a non-zero c, keeping terms free of zero coefficients."""
+    if k in terms:
+        s = terms[k] + c
+        if s:
+            terms[k] = s
+        else:
+            del terms[k]
+    else:
+        terms[k] = c
+
+
 class BivarPoly:
     """Sparse exact polynomial in x and y.
 
@@ -90,11 +102,7 @@ class BivarPoly:
             return NotImplemented
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            s = terms.get(k, Fraction(0)) + c
-            if s == 0:
-                terms.pop(k, None)
-            else:
-                terms[k] = s
+            _accumulate(terms, k, c)
         return BivarPoly._of(terms)
 
     __radd__ = __add__
@@ -123,12 +131,7 @@ class BivarPoly:
         terms = {}
         for (ax, ay), ac in self.terms.items():
             for (bx, by), bc in other.terms.items():
-                k = (ax + bx, ay + by)
-                s = terms.get(k, Fraction(0)) + ac * bc
-                if s == 0:
-                    terms.pop(k, None)
-                else:
-                    terms[k] = s
+                _accumulate(terms, (ax + bx, ay + by), ac * bc)
         return BivarPoly._of(terms)
 
     __rmul__ = __mul__
@@ -407,14 +410,16 @@ class LambdaSeries:
 
 
 def series_exp(a: LambdaSeries) -> LambdaSeries:
-    """exp of a series with vanishing constant term, truncated exactly."""
+    """exp of a series with vanishing constant term, truncated exactly.
+
+    g = exp(a) solves g' = a' g, so n g_n = sum_k k a_k g_(n-k): order^2
+    polynomial products, over the non-zero a_k only.
+    """
     if not a.coeffs[0].is_zero():
         raise ValueError("series_exp requires zero constant term")
-    result = LambdaSeries.one(a.order)
-    power = LambdaSeries.one(a.order)
-    for j in range(1, a.order + 1):
-        power = power * a
-        if power.is_zero():
-            break
-        result = result + power * Fraction(1, factorial(j))
-    return result
+    ka = [(k, c * k) for k, c in enumerate(a.coeffs) if c]
+    g = [BivarPoly.constant(1)]
+    for n in range(1, a.order + 1):
+        gn = sum((c * g[n - k] for k, c in ka if k <= n), BivarPoly.zero())
+        g.append(gn * Fraction(1, n))
+    return LambdaSeries(a.order, g)

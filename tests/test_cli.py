@@ -104,6 +104,21 @@ class TestVerify:
         strip = lambda r: [c.to_json() for c in r.cases]
         assert strip(a) == strip(b)
 
+    @pytest.mark.parametrize("flag", ["--lmin", "--lmax", "--nmax", "--seed"])
+    def test_range_flags_need_a_k_range(self, flag, capsys):
+        # the default sweep would otherwise run and ignore the flag
+        assert main(["verify", flag, "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+
+    def test_range_flag_defaults(self, tmp_path):
+        # with a K range the flags keep their defaults: L = 0, n up to 6, seed 0
+        out = tmp_path / "report.json"
+        assert main(["verify", "--kmax", "3", "--out", str(out)]) == 0
+        cfg = VerifyConfig(k_min=2, k_max=3, l_min=0, l_max=0, n_max=6, seed=0)
+        expected = [c.to_json() for c in run_verification(cfg).cases]
+        assert json.loads(out.read_text())["cases"] == expected
+
     def test_report_written(self, tmp_path):
         out = tmp_path / "report.json"
         assert main(["verify", "--kmin", "2", "--nmax", "1", "--out", str(out)]) == 0
@@ -132,6 +147,14 @@ class TestSubcommands:
         assert main(["nieto-truax", "2", "0"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["real"].startswith("1.0")
+
+    def test_import_leaves_mpmath_unloaded(self):
+        # only nieto-truax needs mpmath; every other command starts without it
+        env = dict(os.environ, PYTHONPATH=str(Path(lacunary.__file__).parents[1]))
+        code = "import sys, lacunary, lacunary.cli; print('mpmath' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=30)
+        assert proc.stdout.strip() == "False", proc.stderr
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["closed-form", "0", "0"]) == 2

@@ -11,11 +11,14 @@ from lacunary import (
     BivarPoly,
     DomainError,
     HypergeomSpec,
+    LambdaSeries,
     PoleError,
     gmfc_check,
     pfq_series,
     pochhammer,
 )
+
+params = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
 class TestPochhammer:
@@ -83,6 +86,39 @@ class TestPfqSeries:
             pfq_series(spec, 5)
         # truncation below the pole stays fine
         assert pfq_series(spec, 2).coeffs[0] == BivarPoly.constant(1)
+
+    def test_pole_after_zero_terms(self):
+        # (-1)_s = 0 from s = 2 on, but the lower -3 still poles at s = 4
+        spec = HypergeomSpec.make([-1], [-3], 1, 1)
+        for order in (4, 7):
+            with pytest.raises(PoleError):
+                pfq_series(spec, order)
+
+    def test_zero_terms_below_the_pole(self):
+        spec = HypergeomSpec.make([-1], [-3], 1, 1)
+        s = pfq_series(spec, 3)
+        assert s.coeffs[:2] == [BivarPoly.constant(1), BivarPoly.constant(Fraction(1, 3))]
+        assert s.coeffs[2].is_zero() and s.coeffs[3].is_zero()
+
+    @given(
+        st.lists(params, max_size=3),
+        st.lists(params.filter(lambda b: not (b.denominator == 1 and b <= 0)), max_size=3),
+        st.fractions(min_value=-9, max_value=9, max_denominator=7),
+        st.integers(1, 3), st.integers(0, 2), st.integers(0, 2), st.integers(0, 9),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_pochhammer_definition(self, upper, lower, z, lp, xp, yp, order):
+        # term s is z^s prod (a)_s / (s! prod (b)_s), each Pochhammer symbol built afresh
+        spec = HypergeomSpec.make(upper, lower, z, lp, xp, yp)
+        expected = LambdaSeries.zero(order)
+        for s in range(order // lp + 1):
+            c = z**s / factorial(s)
+            for a in upper:
+                c *= pochhammer(a, s)
+            for b in lower:
+                c /= pochhammer(b, s)
+            expected.coeffs[s * lp] = BivarPoly.monomial(c, s * xp, s * yp)
+        assert pfq_series(spec, order) == expected
 
     def test_lambda_power_required(self):
         spec = HypergeomSpec.make([], [], 1, 0)

@@ -11,6 +11,7 @@ from lacunary import (
     BivarPoly,
     LambdaSeries,
     TruncationUnderflowError,
+    series_exp,
 )
 
 rationals = st.fractions(
@@ -173,3 +174,35 @@ def test_series_json_roundtrip():
 
     s = hermite_egf(4)
     assert LambdaSeries.from_json(s.to_json()) == s
+
+
+def power_sum_exp(a: LambdaSeries) -> LambdaSeries:
+    """exp(a) by its definition: the sum of a^j / j! over j <= order."""
+    total, power = LambdaSeries.one(a.order), LambdaSeries.one(a.order)
+    for j in range(1, a.order + 1):
+        power = power * a
+        total = total + power * Fraction(1, factorial(j))
+    return total
+
+
+class TestSeriesExp:
+    @pytest.mark.parametrize("coeffs", [
+        [0, 1, 0, 0, 0, 0],                                   # exp(lambda)
+        [0, BivarPoly.x(), BivarPoly.y(), 0, 0, 0, 0, 0],     # the Hermite EGF
+        [0, 0, 0, Fraction(-2, 3), 0, 0, 0],                  # nilpotent: a^3 = 0
+        [0, BivarPoly.x() + 2, 0, BivarPoly.y() * Fraction(1, 5), BivarPoly.x(), 7],
+        [0],
+    ])
+    def test_matches_power_sum(self, coeffs):
+        a = LambdaSeries(len(coeffs) - 1, coeffs)
+        assert series_exp(a) == power_sum_exp(a)
+
+    @given(small_series(4))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_power_sum_random(self, a):
+        a.coeffs[0] = BivarPoly.zero()
+        assert series_exp(a) == power_sum_exp(a)
+
+    def test_requires_zero_constant_term(self):
+        with pytest.raises(ValueError):
+            series_exp(LambdaSeries(2, [1, 0, 0]))
