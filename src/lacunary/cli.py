@@ -89,23 +89,21 @@ def _read_series(path: str) -> LambdaSeries:
     return _parse("series JSON", lambda t: LambdaSeries.from_json(json.loads(t)), text)
 
 
-# VerifyConfig fields that verify sets from flags only with a K range, and their defaults
-RANGE_DEFAULTS = {"l_min": 0, "l_max": 0, "n_max": 6, "seed": 0}
-
-
 def run_verify(args) -> int:
     """Print the sweep's summary and return its exit status; --out names the report."""
-    given = {f: getattr(args, f) for f in RANGE_DEFAULTS if hasattr(args, f)}
     if args.kmin is None and args.kmax is None:
+        given = [f for f in ("lmin", "lmax", "nmax", "seed") if getattr(args, f) is not None]
         if given:
-            flags = ", ".join("--" + f.replace("_", "") for f in given)
+            flags = ", ".join("--" + f for f in given)
             raise UsageError(f"the default sweep takes no {flags}; give --kmin or --kmax")
         # the default sweep: K = 3 and 4 to n = 16, K = 5 to n = 15, all at L = 0
         cfg = VerifyConfig(k_min=3, k_max=5, l_max=0, n_max={3: 16, 4: 16, 5: 15})
     else:
         k_min = 2 if args.kmin is None else args.kmin
         k_max = k_min if args.kmax is None else args.kmax
-        cfg = VerifyConfig(k_min=k_min, k_max=k_max, **{**RANGE_DEFAULTS, **given})
+        cfg = VerifyConfig(k_min=k_min, k_max=k_max, l_min=args.lmin or 0,
+                           l_max=args.lmax or 0, n_max=6 if args.nmax is None else args.nmax,
+                           seed=args.seed or 0)
     report = run_verification(cfg)
     if args.out:
         with _open(args.out, "w") as fh:
@@ -175,10 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(run=run_verify)
     v.add_argument("--kmin", type=int)
     v.add_argument("--kmax", type=int)
-    for field in RANGE_DEFAULTS:  # left unset when not given
-        name = field.replace("_", "")
-        v.add_argument("--" + name, dest=field, metavar=name.upper(), type=int,
-                       default=argparse.SUPPRESS)
+    # unset unless given, so that the default sweep can reject them
+    v.add_argument("--lmin", type=int, help="with a K range; default 0")
+    v.add_argument("--lmax", type=int, help="with a K range; default 0")
+    v.add_argument("--nmax", type=int, help="with a K range; default 6")
+    v.add_argument("--seed", type=int, help="with a K range; default 0")
 
     h = command("hermite", run_hermite, "print H_n(x, y)")
     h.add_argument("n", type=int)

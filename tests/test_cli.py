@@ -156,6 +156,14 @@ class TestSubcommands:
                               capture_output=True, text=True, timeout=30)
         assert proc.stdout.strip() == "False", proc.stderr
 
+    def test_nieto_truax_loads_mpmath_in_a_fresh_process(self):
+        # the deferred import, from a cold start as the installed script runs it
+        env = dict(os.environ, PYTHONPATH=str(Path(lacunary.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "lacunary.cli", "nieto-truax", "3", "1"],
+                              env=env, capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert set(json.loads(proc.stdout)) >= {"real", "imag"}
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["closed-form", "0", "0"]) == 2
         assert "error" in capsys.readouterr().err
