@@ -144,6 +144,7 @@ def run_normal_order(args) -> str:
 
 
 def run_nieto_truax(args) -> str:
+    check_cap(args.K * args.terms + args.L)  # the exact partial sum reaches H_(K*terms+L)
     import mpmath
 
     lam, x, y = (_parse("number", Fraction, t) for t in (args.lam, args.x, args.y))

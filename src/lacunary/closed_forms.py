@@ -29,7 +29,7 @@ from math import comb
 from .hermite import fact, hermite_egf, hermite_poly
 from .hypergeom import DomainError, HypergeomSpec, pfq_series
 from .operators import shift
-from .series import BivarPoly, LambdaSeries
+from .series import LambdaSeries
 
 
 @dataclass(frozen=True)
@@ -126,40 +126,54 @@ def closed_form_plan(K: int) -> ClosedFormPlan:
     return ClosedFormPlan(K, tuple(branches))
 
 
-def _leibniz_prefactor(P: int, H: list[BivarPoly], extra_ypow: int) -> BivarPoly:
-    """The mu-derivative expansion of x^P: sum_q q! C(L,q) C(P,q) H_{L-q} x^(P-q) (2y)^q.
+def _leibniz_parts(H: list[dict], y_power: int) -> list[dict]:
+    """The s-free factors q! C(L,q) 2^q H_(L-q) y^(q+y_power), q = 0 ... L, as numerators.
 
-    H holds H_0 ... H_L, so L = len(H) - 1.
+    H holds the numerators of H_0 ... H_L, so L = len(H) - 1.
     """
     L = len(H) - 1
-    if L == 0:
-        return BivarPoly.monomial(1, P, extra_ypow)
-    out = BivarPoly.zero()
-    for q in range(min(L, P) + 1):
-        c = Fraction(fact(q) * comb(L, q) * comb(P, q) * 2**q)
-        out = out + H[L - q] * BivarPoly.monomial(c, P - q, q + extra_ypow)
+    return [{(hx, hy + q + y_power): fact(q) * comb(L, q) * 2**q * v
+             for (hx, hy), v in H[L - q].items()}
+            for q in range(L + 1)]
+
+
+def _leibniz_prefactor(P: int, parts: list[dict]) -> dict:
+    """The mu-derivative expansion of x^P: sum_q C(P,q) x^(P-q) parts[q], as numerators.
+
+    Every numerator is positive, so no sum cancels.
+    """
+    out = {}
+    for q, part in enumerate(parts[: P + 1]):
+        c = comb(P, q)
+        for (xp, yp), v in part.items():
+            k = (xp + P - q, yp)
+            out[k] = out[k] + c * v if k in out else c * v
     return out
 
 
 def _evaluate_plan(plan: ClosedFormPlan, L: int, order: int) -> LambdaSeries:
     """Sum over branches and s of lambda^p0 * prefactor * pFq block.
 
-    Every block coefficient is a monomial, multiplied straight into the
-    prefactor's terms.
+    The prefactor is integer numerators times one rational scale per
+    (branch, s); every block coefficient is a monomial, multiplied straight
+    into the prefactor's numerators.
     """
-    H = [hermite_poly(j) for j in range(L + 1)]
+    H = [hermite_poly(j).num for j in range(L + 1)]
 
     def terms():
         for br in plan.branches:
+            parts = _leibniz_parts(H, br.y_power)
             for s in range(order + 1 - br.lambda_shift):
                 p0 = s + br.lambda_shift
-                pref = _leibniz_prefactor(br.x_power(plan.K, s), H, br.y_power)
-                pref = pref * (br.factorial_ratio(plan.K, s) / fact(p0))
+                pref = _leibniz_prefactor(br.x_power(plan.K, s), parts).items()
+                scale = br.factorial_ratio(plan.K, s) / fact(p0)
                 block = pfq_series(br.pfq_spec(s), order - p0)
                 for i, c in enumerate(block.coeffs):
-                    for (bx, by), bv in c.terms.items():
-                        for (xp, yp), v in pref.terms.items():
-                            yield p0 + i, xp + bx, yp + by, v * bv
+                    den = c.den * scale.denominator
+                    for (bx, by), bv in c.num.items():
+                        bv *= scale.numerator
+                        for (xp, yp), v in pref:
+                            yield p0 + i, xp + bx, yp + by, v * bv, den
 
     return LambdaSeries.collect(order, terms())
 
@@ -194,7 +208,7 @@ class RkSeries:
 
     def hkl(self, L: int) -> LambdaSeries:
         """L! * [mu^L], the L-shifted lacunary generating function."""
-        return self.mu_coeffs[L] * Fraction(fact(L))
+        return self.mu_coeffs[L] * fact(L)
 
 
 def rk_series(K: int, mu_order: int, lambda_order: int) -> RkSeries:
@@ -204,12 +218,12 @@ def rk_series(K: int, mu_order: int, lambda_order: int) -> RkSeries:
     base = closed_form_HKL(K, 0, lambda_order)
     # substitute x -> x + 2*mu*y: sub[i] is the mu^i part
     sub = [LambdaSeries.collect(lambda_order, (
-        (n, a - i, b + i, c * comb(a, i) * 2**i)
+        (n, a - i, b + i, c * comb(a, i) * 2**i, poly.den)
         for n, poly in enumerate(base.coeffs)
-        for (a, b), c in poly.terms.items() if a >= i
+        for (a, b), c in poly.num.items() if a >= i
     )) for i in range(mu_order + 1)]
     # multiply by the mu-EGF exp(mu*x + mu^2*y)
-    egf_mu = [hermite_poly(j) * Fraction(1, fact(j)) for j in range(mu_order + 1)]
+    egf_mu = hermite_egf(mu_order).coeffs
     mu_coeffs = [
         sum((sub[Lp - j] * egf_mu[j] for j in range(Lp + 1)),
             LambdaSeries.zero(lambda_order))

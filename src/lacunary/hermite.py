@@ -14,7 +14,6 @@ sole input of the generic resummation algorithm in :mod:`lacunary.operators`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import Callable
@@ -49,29 +48,30 @@ class CoeffTable:
         return self.generator(r, m)
 
 
+def _hermite_numerators(n: int) -> dict:
+    """The integer coefficients of H_n(x, y): n! / ((n-2k)! k!) at x^(n-2k) y^k."""
+    nf = fact(n)
+    return {(n - 2 * k, k): nf // (fact(n - 2 * k) * fact(k)) for k in range(n // 2 + 1)}
+
+
 def hermite_poly(n: int) -> BivarPoly:
     """H_n(x, y) as an exact sparse polynomial; x-degree equals n."""
     if n < 0:
         raise ValueError("Hermite index must be non-negative")
-    nf = fact(n)
-    terms = {
-        (n - 2 * k, k): Fraction(nf, fact(n - 2 * k) * fact(k))
-        for k in range(n // 2 + 1)
-    }
-    return BivarPoly(terms)
+    return BivarPoly.from_numerators(_hermite_numerators(n))
 
 
 def hermite_egf(order: int) -> LambdaSeries:
     """Truncated EGF: coefficient of lambda^n is H_n(x, y) / n!."""
-    coeffs = [hermite_poly(n) * Fraction(1, fact(n)) for n in range(order + 1)]
-    return LambdaSeries(order, coeffs)
+    return LambdaSeries(order, [BivarPoly.from_numerators(_hermite_numerators(n), fact(n))
+                                for n in range(order + 1)])
 
 
 def _hermite_entry(r: int, m: int) -> BivarPoly:
     if m % 2 != 0:
         return BivarPoly.zero()
     half = m // 2
-    return BivarPoly.monomial(Fraction(fact(r + m), fact(r) * fact(half)), 0, half)
+    return BivarPoly.from_numerators({(0, half): fact(r + m) // (fact(r) * fact(half))})
 
 
 def hermite_coeff_table() -> CoeffTable:
@@ -82,9 +82,12 @@ def hermite_coeff_table() -> CoeffTable:
 
 def table_egf(table: CoeffTable, order: int) -> LambdaSeries:
     """Reconstruct the EGF sum_r x^r sum_m lambda^(r+m)/(r+m)! g_{r,m}(y)."""
-    return LambdaSeries.collect(order, (
-        (r + m, r + xp, yp, c / fact(r + m))
-        for r in range(order + 1)
-        for m in range(order + 1 - r)
-        for (xp, yp), c in table(r, m).terms.items()
-    ))
+    def terms():
+        for r in range(order + 1):
+            for m in range(order + 1 - r):
+                g = table(r, m)
+                den = g.den * fact(r + m)
+                for (xp, yp), c in g.num.items():
+                    yield r + m, r + xp, yp, c, den
+
+    return LambdaSeries.collect(order, terms())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .series import BivarPoly, LambdaSeries
 
@@ -99,23 +100,26 @@ def pfq_series(spec: HypergeomSpec, order: int) -> LambdaSeries:
     if spec.arg_lpow < 1:
         raise DomainError("argument must carry a positive lambda-power")
     out = LambdaSeries.zero(order)
-    c = Fraction(1)
+    upper = [(a.numerator, a.denominator) for a in spec.upper]
+    lower = [(b.numerator, b.denominator) for b in spec.lower]
+    num, den = 1, 1
     for s in range(order // spec.arg_lpow + 1):
         for b in spec.lower:
             _check_pole(b, s, s)
-        if s and c:
-            num = c.numerator * spec.arg_coef.numerator
-            den = c.denominator * spec.arg_coef.denominator * s
-            for a in spec.upper:
-                num *= a.numerator + (s - 1) * a.denominator
-                den *= a.denominator
-            for b in spec.lower:
-                num *= b.denominator
-                den *= b.numerator + (s - 1) * b.denominator
-            c = Fraction(num, den)
-        if c:
-            out.coeffs[s * spec.arg_lpow] = BivarPoly.monomial(
-                c, s * spec.arg_xpow, s * spec.arg_ypow
+        if s and num:
+            num *= spec.arg_coef.numerator
+            den *= spec.arg_coef.denominator * s
+            for an, ad in upper:
+                num *= an + (s - 1) * ad
+                den *= ad
+            for bn, bd in lower:
+                num *= bd
+                den *= bn + (s - 1) * bd
+            g = gcd(num, den) if den > 0 else -gcd(num, den)
+            num, den = num // g, den // g
+        if num:
+            out.coeffs[s * spec.arg_lpow] = BivarPoly.from_numerators(
+                {(s * spec.arg_xpow, s * spec.arg_ypow): num}, den
             )
     return out
 

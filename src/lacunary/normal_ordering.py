@@ -49,7 +49,7 @@ class NormalOrderResult:
 def _sum_x_powers(p: BivarPoly, start: LambdaSeries, step) -> LambdaSeries:
     """sum_a step^a(start) * p_a(y), where p_a(y) multiplies x^a in p."""
     by_xpow: dict[int, dict] = {}
-    for (a, b), c in p.terms.items():
+    for (a, b), c in p.num.items():
         by_xpow.setdefault(a, {})[(0, b)] = c
     out = LambdaSeries.zero(start.order)
     power = start
@@ -57,7 +57,7 @@ def _sum_x_powers(p: BivarPoly, start: LambdaSeries, step) -> LambdaSeries:
         if a > 0:
             power = step(power)
         if a in by_xpow:
-            out = out + power * BivarPoly(by_xpow[a])
+            out = out + power * BivarPoly.from_numerators(by_xpow[a], p.den)
     return out
 
 

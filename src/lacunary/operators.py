@@ -16,7 +16,6 @@ variant separates the families by the parity of the second index m.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .hermite import CoeffTable, fact
 from .series import LambdaSeries, TruncationUnderflowError
@@ -42,7 +41,7 @@ def dilate_bruteforce(series: LambdaSeries, K: int,
             f"got {series.order}"
         )
     coeffs = [
-        series.coeffs[n * K] * Fraction(fact(n * K), fact(n))
+        series.coeffs[n * K] * (fact(n * K) // fact(n))
         for n in range(out_order + 1)
     ]
     return LambdaSeries(out_order, coeffs)
@@ -82,13 +81,18 @@ def _resum(table: CoeffTable, K: int, branches: tuple[Branch, ...],
     r + m < K * (order + 1) is exactly p <= order, and it bounds both loops.
     """
     end = K * (order + 1)
-    return LambdaSeries.collect(order, (
-        ((r + m) // K, r + xp, yp, c / fact((r + m) // K))
-        for br in branches
-        for r in range(br.x_offset, end, K)
-        for m in range(br.m_offset, end - r, br.m_step)
-        for (xp, yp), c in table(r, m).terms.items()
-    ))
+
+    def terms():
+        for br in branches:
+            for r in range(br.x_offset, end, K):
+                for m in range(br.m_offset, end - r, br.m_step):
+                    p = (r + m) // K
+                    g = table(r, m)
+                    den = g.den * fact(p)
+                    for (xp, yp), c in g.num.items():
+                        yield p, r + xp, yp, c, den
+
+    return LambdaSeries.collect(order, terms())
 
 
 def lemma1_branches(K: int) -> tuple[Branch, ...]:

@@ -1,11 +1,13 @@
 """Exact-arithmetic substrate: sparse bivariate polynomials and truncated series.
 
-Coefficients are ``fractions.Fraction`` throughout -- no floating point
-enters this module.  A :class:`BivarPoly` is a sparse polynomial in the
-variables ``x`` and ``y``; a :class:`LambdaSeries` is a formal power series
-in a third variable (written ``lambda`` in most of the package, ``mu`` in
-the normal-ordering code) truncated at an explicit inclusive order, with
-``BivarPoly`` coefficients.
+No floating point enters this module.  A :class:`BivarPoly` is a sparse
+polynomial in the variables ``x`` and ``y``, stored as integer numerators
+over one positive integer denominator (the layout of FLINT's ``fmpq_poly``):
+ring operations do integer work, with one ``lcm`` per sum and one ``gcd``
+per result.  Its coefficients read as ``fractions.Fraction``.  A
+:class:`LambdaSeries` is a formal power series in a third variable (written
+``lambda`` in most of the package, ``mu`` in the normal-ordering code)
+truncated at an explicit inclusive order, with ``BivarPoly`` coefficients.
 
 Truncation semantics: binary operations on two series combine orders with
 ``min`` and silently truncate -- the result is exact for every coefficient
@@ -16,7 +18,8 @@ it retains.  Differentiation decreases the order and raises
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
+from types import MappingProxyType
 
 
 class TruncationUnderflowError(ValueError):
@@ -32,50 +35,51 @@ def _frac(value) -> Fraction:
     return Fraction(value)
 
 
-def _accumulate(terms: dict, k, c: Fraction):
-    """terms[k] += c for a non-zero c, keeping terms free of zero coefficients."""
-    if k in terms:
-        s = terms[k] + c
-        if s:
-            terms[k] = s
-        else:
-            del terms[k]
-    else:
-        terms[k] = c
-
-
 class BivarPoly:
     """Sparse exact polynomial in x and y.
 
-    Terms are stored as a dict ``(x_power, y_power) -> Fraction`` with no
-    zero coefficients.  Instances are immutable by convention; all
-    operations return new polynomials.
+    ``num`` maps ``(x_power, y_power)`` to a non-zero integer numerator and
+    ``den`` is the one positive denominator, with gcd(den, *numerators) = 1,
+    so equal polynomials have equal ``(num, den)``.  Instances are immutable
+    by convention; all operations return new polynomials.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("num", "den", "_terms")
 
     def __init__(self, terms=None):
-        clean = {}
-        for (xp, yp), c in (terms or {}).items():
-            c = _frac(c)
-            if c != 0:
-                if xp < 0 or yp < 0:
-                    raise ValueError(f"negative exponent in term ({xp},{yp})")
-                clean[(xp, yp)] = c
-        self.terms = clean
+        """From a dict (x_power, y_power) -> Fraction or int; zero values are dropped."""
+        items = [(k, _frac(c)) for k, c in (terms or {}).items() if c != 0]
+        for (xp, yp), _ in items:
+            if xp < 0 or yp < 0:
+                raise ValueError(f"negative exponent in term ({xp},{yp})")
+        # over the lcm of reduced denominators the numerators share no factor with it
+        den = lcm(*(c.denominator for _, c in items))
+        self.num = {k: c.numerator * (den // c.denominator) for k, c in items}
+        self.den = den
+        self._terms = None
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _of(cls, terms: dict) -> "BivarPoly":
-        """Wrap a dict already free of zero coefficients, without copying it."""
+    def from_numerators(cls, num: dict, den: int = 1) -> "BivarPoly":
+        """Wrap integer numerators, none of them zero, over den > 0, without copying.
+
+        The common factor of den and the numerators is divided out.
+        """
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {k: v // g for k, v in num.items()}
+                den //= g
         out = cls.__new__(cls)
-        out.terms = terms
+        out.num = num
+        out.den = den
+        out._terms = None
         return out
 
     @classmethod
     def zero(cls) -> "BivarPoly":
-        return cls()
+        return cls.from_numerators({})
 
     @classmethod
     def constant(cls, c) -> "BivarPoly":
@@ -93,6 +97,14 @@ class BivarPoly:
     def y(cls) -> "BivarPoly":
         return cls({(0, 1): Fraction(1)})
 
+    @property
+    def terms(self):
+        """Read-only view (x_power, y_power) -> Fraction, built on first read."""
+        if self._terms is None:
+            den = self.den
+            self._terms = {k: Fraction(v, den) for k, v in self.num.items()}
+        return MappingProxyType(self._terms)
+
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
@@ -100,15 +112,25 @@ class BivarPoly:
             other = BivarPoly.constant(other)
         if not isinstance(other, BivarPoly):
             return NotImplemented
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            _accumulate(terms, k, c)
-        return BivarPoly._of(terms)
+        da, db = self.den, other.den
+        den = da if da == db else lcm(da, db)
+        fa, fb = den // da, den // db
+        num = {k: v * fa for k, v in self.num.items()} if fa != 1 else dict(self.num)
+        for k, v in other.num.items():
+            if fb != 1:
+                v *= fb
+            if k in num:
+                v += num[k]
+                if not v:
+                    del num[k]
+                    continue
+            num[k] = v
+        return BivarPoly.from_numerators(num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BivarPoly._of({k: -c for k, c in self.terms.items()})
+        return BivarPoly.from_numerators({k: -v for k, v in self.num.items()}, self.den)
 
     def __sub__(self, other):
         if isinstance(other, (Fraction, int)):
@@ -122,17 +144,22 @@ class BivarPoly:
 
     def __mul__(self, other):
         if isinstance(other, (Fraction, int)):
-            c = _frac(other)
-            if c == 0:
+            if not other:
                 return BivarPoly.zero()
-            return BivarPoly._of({k: v * c for k, v in self.terms.items()})
+            c = _frac(other)
+            n = c.numerator
+            return BivarPoly.from_numerators({k: v * n for k, v in self.num.items()},
+                                             self.den * c.denominator)
         if not isinstance(other, BivarPoly):
             return NotImplemented
-        terms = {}
-        for (ax, ay), ac in self.terms.items():
-            for (bx, by), bc in other.terms.items():
-                _accumulate(terms, (ax + bx, ay + by), ac * bc)
-        return BivarPoly._of(terms)
+        num = {}
+        items = other.num.items()
+        for (ax, ay), an in self.num.items():
+            for (bx, by), bn in items:
+                k = (ax + bx, ay + by)
+                num[k] = num[k] + an * bn if k in num else an * bn
+        return BivarPoly.from_numerators({k: v for k, v in num.items() if v},
+                                         self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -153,46 +180,38 @@ class BivarPoly:
             other = BivarPoly.constant(other)
         if not isinstance(other, BivarPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.num == other.num
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     def __hash__(self):
-        if self.terms.keys() <= {(0, 0)}:  # a constant hashes like the number it equals
+        if self.num.keys() <= {(0, 0)}:  # a constant hashes like the number it equals
             return hash(self.coefficient(0, 0))
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self.num.items()), self.den))
 
     # -- queries --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def degree_x(self) -> int:
         """Degree in x; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(xp for xp, _ in self.terms)
+        return max((xp for xp, _ in self.num), default=-1)
 
     def coefficient(self, xp: int, yp: int) -> Fraction:
-        return self.terms.get((xp, yp), Fraction(0))
+        return Fraction(self.num.get((xp, yp), 0), self.den)
 
     def diff_x(self, times: int = 1) -> "BivarPoly":
-        p = self
+        num = self.num
         for _ in range(times):
-            terms = {}
-            for (xp, yp), c in p.terms.items():
-                if xp >= 1:
-                    terms[(xp - 1, yp)] = c * xp
-            p = BivarPoly(terms)
-        return p
+            num = {(xp - 1, yp): v * xp for (xp, yp), v in num.items() if xp}
+        return BivarPoly.from_numerators(num, self.den)
 
     def evaluate(self, xv, yv) -> Fraction:
         xv, yv = _frac(xv), _frac(yv)
-        total = Fraction(0)
-        for (xp, yp), c in self.terms.items():
-            total += c * xv**xp * yv**yp
-        return total
+        total = sum((v * xv**xp * yv**yp for (xp, yp), v in self.num.items()), Fraction(0))
+        return total / self.den
 
     def sorted_terms(self):
         """Canonical ordering: x-power descending, then y-power ascending."""
@@ -216,7 +235,7 @@ class BivarPoly:
         return cls(terms)
 
     def __str__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
         parts = []
         for (xp, yp), c in self.sorted_terms():
@@ -230,6 +249,20 @@ class BivarPoly:
 
     def __repr__(self):
         return f"BivarPoly({self})"
+
+
+def _merge(by_den: dict) -> BivarPoly:
+    """One BivarPoly from {den: {(xp, yp): num}} buckets, summed over the lcm of the dens."""
+    if len(by_den) == 1:
+        [(den, num)] = by_den.items()
+    else:
+        den, num = lcm(*by_den), {}
+        for d, acc in by_den.items():
+            f = den // d
+            for k, v in acc.items():
+                v *= f
+                num[k] = num[k] + v if k in num else v
+    return BivarPoly.from_numerators({k: v for k, v in num.items() if v}, den)
 
 
 class LambdaSeries:
@@ -282,21 +315,23 @@ class LambdaSeries:
 
     @classmethod
     def collect(cls, order: int, terms) -> "LambdaSeries":
-        """Sum of c * x^xp * y^yp * lambda^p over the (p, xp, yp, c) in `terms`.
+        """Sum of (num/den) * x^xp * y^yp * lambda^p over the (p, xp, yp, num, den) in `terms`.
 
-        Terms with p > order are dropped.  Each lambda-coefficient is summed
-        in one dict and becomes a BivarPoly once, so sums of zero vanish.
+        num and den are integers, den > 0.  Terms with p > order are dropped.
+        Each lambda-power sums its integer numerators in one dict per
+        denominator; the dicts are merged once, over the lcm of their
+        denominators, so sums of zero vanish.
         """
         sums = [{} for _ in range(order + 1)]
-        for p, xp, yp, c in terms:
+        for p, xp, yp, num, den in terms:
             if p <= order:
-                acc = sums[p]
+                by_den = sums[p]
+                acc = by_den.get(den)
+                if acc is None:
+                    acc = by_den[den] = {}
                 key = (xp, yp)
-                acc[key] = acc[key] + c if key in acc else c
-        return cls(order, [
-            BivarPoly._of({k: _frac(c) for k, c in acc.items() if c != 0})
-            for acc in sums
-        ])
+                acc[key] = acc[key] + num if key in acc else num
+        return cls(order, [_merge(by_den) for by_den in sums])
 
     def coefficient(self, n: int) -> BivarPoly:
         if n > self.order:
@@ -337,13 +372,16 @@ class LambdaSeries:
         if not isinstance(other, LambdaSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        return LambdaSeries.collect(n, (
-            (i + j, ax + bx, ay + by, ac * bc)
-            for i, a in enumerate(self.coeffs[: n + 1])
-            for (ax, ay), ac in a.terms.items()
-            for j, b in enumerate(other.coeffs[: n + 1 - i])
-            for (bx, by), bc in b.terms.items()
-        ))
+
+        def terms():
+            for i, a in enumerate(self.coeffs[: n + 1]):
+                for j, b in enumerate(other.coeffs[: n + 1 - i]):
+                    den, b_items = a.den * b.den, b.num.items()
+                    for (ax, ay), an in a.num.items():
+                        for (bx, by), bn in b_items:
+                            yield i + j, ax + bx, ay + by, an * bn, den
+
+        return LambdaSeries.collect(n, terms())
 
     __rmul__ = __mul__
 
@@ -368,7 +406,7 @@ class LambdaSeries:
             )
         new_order = self.order - times
         coeffs = [
-            self.coeffs[n + times] * Fraction(factorial(n + times), factorial(n))
+            self.coeffs[n + times] * (factorial(n + times) // factorial(n))
             for n in range(new_order + 1)
         ]
         return LambdaSeries(new_order, coeffs)
@@ -398,10 +436,10 @@ class LambdaSeries:
             if c.is_zero():
                 continue
             if n == 0:
-                parts.append(str(c) if len(c.terms) == 1 else f"({c})")
+                parts.append(str(c) if len(c.num) == 1 else f"({c})")
             else:
                 lam = "λ" if n == 1 else f"λ^{n}"
-                body = str(c) if len(c.terms) == 1 else f"({c})"
+                body = str(c) if len(c.num) == 1 else f"({c})"
                 parts.append(f"{lam}·{body}")
         return " + ".join(parts) if parts else "0"
 

@@ -22,6 +22,7 @@ CAPPED = [
     ["normal-order", "--q", "[]", "--v", "[]", "--order", "1000"],
     ["normal-order", "--q", '[{"xp":100000000,"yp":0,"num":"1","den":"1"}]', "--v", "[]"],
     ["normal-order", "--q", "[]", "--v", '[{"xp":100000000,"yp":0,"num":"1","den":"1"}]'],
+    ["nieto-truax", "5", "0", "--terms", "400"],
 ]
 
 

@@ -1,7 +1,7 @@
 """Exact series substrate: examples, ring axioms, differentiation contract."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -79,18 +79,118 @@ class TestBivarPoly:
 class TestCollect:
     def test_merges_drops_zero_sums_and_ignores_high_powers(self):
         s = LambdaSeries.collect(2, [
-            (1, 1, 0, Fraction(1, 2)),
-            (1, 1, 0, Fraction(1, 3)),   # same key: summed
-            (2, 0, 1, Fraction(3)),
-            (2, 0, 1, Fraction(-3)),     # cancels to nothing
-            (2, 2, 2, 4),
-            (3, 0, 0, Fraction(7)),      # beyond the order: ignored
+            (1, 1, 0, 1, 2),
+            (1, 1, 0, 1, 3),     # same key: summed
+            (2, 0, 1, 3, 1),
+            (2, 0, 1, -3, 1),    # cancels to nothing
+            (2, 2, 2, 4, 1),
+            (3, 0, 0, 7, 1),     # beyond the order: ignored
         ])
         assert s.order == 2
         assert s.coeffs[0].is_zero()
         assert s.coeffs[1].terms == {(1, 0): Fraction(5, 6)}
         assert s.coeffs[2].terms == {(2, 2): Fraction(4)}
         assert isinstance(s.coeffs[2].coefficient(2, 2), Fraction)
+
+
+term_dicts = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12), max_size=5,
+)
+
+
+def reference(d: dict) -> dict:
+    """A plain {(xp, yp): Fraction} polynomial with its zero coefficients dropped."""
+    return {k: Fraction(c) for k, c in d.items() if c != 0}
+
+
+def ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + c
+    return reference(out)
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for (ax, ay), ac in a.items():
+        for (bx, by), bc in b.items():
+            k = (ax + bx, ay + by)
+            out[k] = out.get(k, 0) + ac * bc
+    return reference(out)
+
+
+def ref_diff_x(a: dict, times: int) -> dict:
+    for _ in range(times):
+        a = reference({(xp - 1, yp): c * xp for (xp, yp), c in a.items() if xp})
+    return a
+
+
+def assert_is(p: BivarPoly, ref: dict):
+    """p is in canonical form and equals the plain reference."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(v) is int and v != 0 for v in p.num.values())
+    assert gcd(p.den, *p.num.values()) == 1
+    assert dict(p.terms) == ref
+    assert p == BivarPoly(ref) and hash(p) == hash(BivarPoly(ref))
+
+
+class TestLayout:
+    """Integer numerators over one denominator, against plain Fraction dicts."""
+
+    @given(term_dicts, term_dicts, rationals, st.integers(0, 4))
+    @settings(max_examples=100)
+    def test_operations_stay_canonical(self, a, b, c, times):
+        pa, pb, ra, rb = BivarPoly(a), BivarPoly(b), reference(a), reference(b)
+        assert_is(pa, ra)
+        assert_is(pa + pb, ref_add(ra, rb))
+        assert_is(pa - pb, ref_add(ra, {k: -v for k, v in rb.items()}))
+        assert_is(-pa, {k: -v for k, v in ra.items()})
+        assert_is(pa * pb, ref_mul(ra, rb))
+        assert_is(pa * c, reference({k: v * c for k, v in ra.items()}))
+        assert_is(pa * c.numerator, reference({k: v * c.numerator for k, v in ra.items()}))
+        assert_is(pa + c, ref_add(ra, {(0, 0): c}))
+        assert_is(pa.diff_x(times), ref_diff_x(ra, times))
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2),
+                              st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6, 9, 12]))))
+    @settings(max_examples=100)
+    def test_collect_over_mixed_denominators(self, terms):
+        s = LambdaSeries.collect(2, terms)
+        refs = [{} for _ in range(3)]
+        for p, xp, yp, num, den in terms:
+            if p <= 2:
+                refs[p][xp, yp] = refs[p].get((xp, yp), 0) + Fraction(num, den)
+        for c, ref in zip(s.coeffs, refs):
+            assert_is(c, reference(ref))
+
+    @given(term_dicts)
+    @settings(max_examples=50)
+    def test_output_reads_as_before(self, d):
+        p, ref = BivarPoly(d), reference(d)
+        ordered = sorted(ref.items(), key=lambda kv: (-kv[0][0], kv[0][1]))
+        assert p.to_json() == [{"xp": xp, "yp": yp, "num": str(c.numerator),
+                                "den": str(c.denominator)} for (xp, yp), c in ordered]
+        parts = [" * ".join([str(c)] + ([f"x^{xp}" if xp != 1 else "x"] if xp else [])
+                            + ([f"y^{yp}" if yp != 1 else "y"] if yp else []))
+                 for (xp, yp), c in ordered]
+        assert str(p) == (" + ".join(parts) if parts else "0")
+        for xp in range(4):
+            for yp in range(4):
+                c = p.coefficient(xp, yp)
+                assert type(c) is Fraction and c == ref.get((xp, yp), 0)
+
+    @given(rationals)
+    def test_constant_hashes_like_its_number(self, c):
+        assert hash(BivarPoly.constant(c)) == hash(c)
+        assert BivarPoly.constant(c) == c
+
+    def test_terms_is_a_read_only_view(self):
+        p = BivarPoly({(1, 0): Fraction(1, 2), (0, 1): Fraction(2, 3)})
+        assert (p.num, p.den) == ({(1, 0): 3, (0, 1): 4}, 6)
+        with pytest.raises(TypeError):
+            p.terms[(0, 0)] = Fraction(1)
+        assert p.terms == {(1, 0): Fraction(1, 2), (0, 1): Fraction(2, 3)}
 
 
 class TestSeriesAdd:
