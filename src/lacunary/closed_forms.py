@@ -28,8 +28,9 @@ from math import comb
 
 from .hermite import fact, hermite_egf, hermite_poly
 from .hypergeom import DomainError, HypergeomSpec, pfq_series
+from .normal_ordering import SemiLinearOp
 from .operators import shift
-from .series import LambdaSeries
+from .series import BivarPoly, LambdaSeries
 
 
 @dataclass(frozen=True)
@@ -196,9 +197,9 @@ def closed_form_HKL(K: int, L: int, order: int) -> LambdaSeries:
 class RkSeries:
     """Bivariate series in (mu, lambda): the EGF of all L-shifted closed forms.
 
-    Equals exp(mu*x + mu^2*y) times the K-tuple closed form with x replaced
-    by x + 2*mu*y; L! times the mu^L coefficient recovers the L-shifted
-    generating function.
+    Equals exp(mu*D) applied to the K-tuple closed form, D = x + 2y d/dx the
+    Hermite raising operator (D H_n = H_(n+1)); L! times the mu^L coefficient
+    recovers the L-shifted generating function.
     """
 
     K: int
@@ -208,27 +209,23 @@ class RkSeries:
 
     def hkl(self, L: int) -> LambdaSeries:
         """L! * [mu^L], the L-shifted lacunary generating function."""
+        if not 0 <= L <= self.mu_order:
+            raise ValueError(f"L must lie in 0..{self.mu_order}, got {L}")
         return self.mu_coeffs[L] * fact(L)
 
 
 def rk_series(K: int, mu_order: int, lambda_order: int) -> RkSeries:
-    """Assemble the (mu, lambda) series from the K-tuple closed form."""
+    """exp(mu*D) G_K(lambda; x, y): D^L / L! on every lambda-coefficient of the
+    K-tuple closed form, D = x + 2y d/dx applied once per mu-power."""
     if mu_order < 0 or lambda_order < 0:
         raise ValueError("orders must be >= 0")
-    base = closed_form_HKL(K, 0, lambda_order)
-    # substitute x -> x + 2*mu*y: sub[i] is the mu^i part
-    sub = [LambdaSeries.collect(lambda_order, (
-        (n, a - i, b + i, c * comb(a, i) * 2**i, poly.den)
-        for n, poly in enumerate(base.coeffs)
-        for (a, b), c in poly.num.items() if a >= i
-    )) for i in range(mu_order + 1)]
-    # multiply by the mu-EGF exp(mu*x + mu^2*y)
-    egf_mu = hermite_egf(mu_order).coeffs
-    mu_coeffs = [
-        sum((sub[Lp - j] * egf_mu[j] for j in range(Lp + 1)),
-            LambdaSeries.zero(lambda_order))
-        for Lp in range(mu_order + 1)
-    ]
+    raising = SemiLinearOp(q=BivarPoly.monomial(2, 0, 1), v=BivarPoly.x())
+    coeffs = closed_form_HKL(K, 0, lambda_order).coeffs
+    mu_coeffs = []
+    for L in range(mu_order + 1):
+        if L:
+            coeffs = [raising.apply(c) for c in coeffs]
+        mu_coeffs.append(LambdaSeries(lambda_order, coeffs) * Fraction(1, fact(L)))
     return RkSeries(K, mu_order, lambda_order, tuple(mu_coeffs))
 
 
@@ -266,6 +263,8 @@ def nieto_truax_partial_sum(K: int, L: int, lam, x, y, n_terms: int = 30) -> Fra
     """Exact-rational direct partial sum: the independent oracle for nieto_truax."""
     if not 0 <= L < K:
         raise DomainError("require 0 <= L < K")
+    if n_terms < 0:
+        raise DomainError("the number of terms must be >= 0")
     lam, x, y = Fraction(lam), Fraction(x), Fraction(y)
     total = Fraction(0)
     for n in range(n_terms + 1):

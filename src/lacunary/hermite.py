@@ -13,7 +13,7 @@ sole input of the generic resummation algorithm in :mod:`lacunary.operators`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from typing import Callable
@@ -31,20 +31,16 @@ def fact(n: int) -> int:
 class CoeffTable:
     """EGF double-expansion coefficients (r, m) -> polynomial in y.
 
-    ``generator`` computes entries on demand; ``support`` is a predicate on
-    the second index m selecting the residue classes where entries may be
-    non-zero (even m for the Hermite table).
+    ``generator`` computes entries on demand and returns zero where an entry
+    vanishes (odd m for the Hermite table).
     """
 
     generator: Callable[[int, int], BivarPoly]
-    support: Callable[[int], bool] = field(default=lambda m: True)
     name: str = "table"
 
     def __call__(self, r: int, m: int) -> BivarPoly:
         if r < 0 or m < 0:
             raise ValueError("table indices must be non-negative")
-        if not self.support(m):
-            return BivarPoly.zero()
         return self.generator(r, m)
 
 
@@ -76,8 +72,7 @@ def _hermite_entry(r: int, m: int) -> BivarPoly:
 
 def hermite_coeff_table() -> CoeffTable:
     """The Hermite EGF expansion table: zero off even m, (r+2m)! y^m/(r! m!) on it."""
-    return CoeffTable(generator=_hermite_entry, support=lambda m: m % 2 == 0,
-                      name="hermite")
+    return CoeffTable(generator=_hermite_entry, name="hermite")
 
 
 def table_egf(table: CoeffTable, order: int) -> LambdaSeries:

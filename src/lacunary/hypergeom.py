@@ -57,30 +57,6 @@ class HypergeomSpec:
             arg_ypow,
         )
 
-    def to_json(self) -> dict:
-        return {
-            "upper": [str(a) for a in self.upper],
-            "lower": [str(b) for b in self.lower],
-            "arg": {
-                "coef": f"{self.arg_coef.numerator}/{self.arg_coef.denominator}",
-                "lp": self.arg_lpow,
-                "xp": self.arg_xpow,
-                "yp": self.arg_ypow,
-            },
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "HypergeomSpec":
-        arg = data["arg"]
-        return cls.make(
-            [Fraction(a) for a in data["upper"]],
-            [Fraction(b) for b in data["lower"]],
-            Fraction(arg["coef"]),
-            arg["lp"],
-            arg.get("xp", 0),
-            arg.get("yp", 0),
-        )
-
 
 def _check_pole(b: Fraction, s: int, term: int):
     if b.denominator == 1 and b <= 0 and -b < s:

@@ -304,16 +304,6 @@ class LambdaSeries:
         return cls(order, coeffs)
 
     @classmethod
-    def monomial(cls, order: int, power: int, coeff) -> "LambdaSeries":
-        """Single term coeff * lambda^power, truncated at `order`."""
-        s = cls(order)
-        if power <= order:
-            if not isinstance(coeff, BivarPoly):
-                coeff = BivarPoly.constant(coeff)
-            s.coeffs[power] = coeff
-        return s
-
-    @classmethod
     def collect(cls, order: int, terms) -> "LambdaSeries":
         """Sum of (num/den) * x^xp * y^yp * lambda^p over the (p, xp, yp, num, den) in `terms`.
 
@@ -332,13 +322,6 @@ class LambdaSeries:
                 key = (xp, yp)
                 acc[key] = acc[key] + num if key in acc else num
         return cls(order, [_merge(by_den) for by_den in sums])
-
-    def coefficient(self, n: int) -> BivarPoly:
-        if n > self.order:
-            raise TruncationUnderflowError(
-                f"coefficient {n} beyond truncation order {self.order}"
-            )
-        return self.coeffs[n]
 
     def truncate(self, order: int) -> "LambdaSeries":
         if order >= self.order:

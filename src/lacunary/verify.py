@@ -77,17 +77,6 @@ class VerifyCase:
             "check": self.check,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "VerifyCase":
-        return cls(
-            K=data["K"],
-            L=data["L"],
-            n=data["n"],
-            passed=data["pass"],
-            diff_term=data["diff_term"],
-            check=data.get("check", "closed_form"),
-        )
-
 
 @dataclass
 class VerifyReport:
@@ -109,13 +98,6 @@ class VerifyReport:
             "failed": self.failed,
             "elapsed_ms": self.elapsed_ms,
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "VerifyReport":
-        return cls(
-            cases=[VerifyCase.from_json(c) for c in data["cases"]],
-            elapsed_ms=data["elapsed_ms"],
-        )
 
 
 def first_diff_poly(diff: BivarPoly, lam_power: int) -> dict | None:

@@ -56,6 +56,10 @@ class TestPlanStructure:
         assert [str(b) for b in beta1.lower] == ["3/2"]
         assert beta1.factorial_ratio(4, 0) == Fraction(fact(4), fact(2))
 
+    def test_plan_json_arg(self):
+        arg = closed_form_plan(4).to_json()["branches"][0]["arg"]
+        assert arg == {"coef": "64/1", "lp": 1, "xp": 0, "yp": 2}
+
     def test_k5_argument_monomial(self):
         plan = closed_form_plan(5)
         br = plan.branches[0]
@@ -145,18 +149,22 @@ class TestClosedFormHKL:
 @given(st.integers(1, 5), st.integers(0, 3), st.integers(0, 4))
 @settings(max_examples=50, deadline=None)
 def test_constructions_agree_with_oracle(K, L, n):
-    # the three constructions and the (mu, lambda) series, against H_(pK+L)/p!
-    want = [hermite_poly(p * K + L) * Fraction(1, fact(p)) for p in range(n + 1)]
+    # the three constructions, and every shift j <= L of the (mu, lambda) series,
+    # against H_(pK+j)/p!
+    def want(j):
+        return [hermite_poly(p * K + j) * Fraction(1, fact(p)) for p in range(n + 1)]
+
     built = [
-        closed_form_HKL(K, L, n),
-        dilate_bruteforce(shift(hermite_egf(K * n + L), L), K),
-        rk_series(K, L, n).hkl(L),
+        (L, closed_form_HKL(K, L, n)),
+        (L, dilate_bruteforce(shift(hermite_egf(K * n + L), L), K)),
     ]
     if L == 0:
-        built.append(resum_lemma1(hermite_coeff_table(), K, n))
-    for series in built:
+        built.append((L, resum_lemma1(hermite_coeff_table(), K, n)))
+    rk = rk_series(K, L, n)
+    built.extend((j, rk.hkl(j)) for j in range(L + 1))
+    for j, series in built:
         assert series.order == n
-        assert series.coeffs == want
+        assert series.coeffs == want(j)
 
 
 class TestRkSeries:
@@ -169,6 +177,12 @@ class TestRkSeries:
             rk = rk_series(K, 3, 4)
             for L in (1, 2, 3):
                 assert rk.hkl(L) == closed_form_HKL(K, L, 4), (K, L)
+
+    def test_hkl_range(self):
+        rk = rk_series(2, 2, 3)
+        for L in (-1, 3):
+            with pytest.raises(ValueError, match=r"0\.\.2"):
+                rk.hkl(L)
 
 
 class TestNietoTruax:
@@ -197,3 +211,5 @@ class TestNietoTruax:
             nieto_truax(2, 2, Fraction(1, 10), 1, 1, 128)
         with pytest.raises(DomainError):
             nieto_truax(2, 1, Fraction(1, 10), 1, 1, 32)
+        with pytest.raises(DomainError):
+            nieto_truax_partial_sum(3, 1, Fraction(1, 10), 1, 1, n_terms=-5)

@@ -125,15 +125,6 @@ class TestPfqSeries:
         with pytest.raises(DomainError):
             pfq_series(spec, 3)
 
-    def test_json_roundtrip(self):
-        spec = HypergeomSpec.make(
-            [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)],
-            [Fraction(1, 2)],
-            64, 1, 0, 2,
-        )
-        assert HypergeomSpec.from_json(spec.to_json()) == spec
-        assert spec.to_json()["arg"] == {"coef": "64/1", "lp": 1, "xp": 0, "yp": 2}
-
 
 class TestGmfc:
     def test_empty_products(self):

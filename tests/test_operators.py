@@ -24,7 +24,7 @@ class TestDilate:
         assert dilate_bruteforce(s, 1) == s
 
     def test_non_multiple_power_killed(self):
-        s = LambdaSeries.monomial(3, 3, 1)
+        s = LambdaSeries(3, [0, 0, 0, 1])
         assert dilate_bruteforce(s, 2).is_zero()
 
     def test_k3_reads_off_h3(self):
