@@ -20,7 +20,6 @@ from .hermite import (
 )
 from .hypergeom import (
     DomainError,
-    HypergeomSpec,
     PoleError,
     gmfc_check,
     pfq_series,
@@ -66,7 +65,6 @@ __all__ = [
     "CoeffTable",
     "ConsistencyError",
     "DomainError",
-    "HypergeomSpec",
     "LambdaSeries",
     "NormalOrderResult",
     "PoleError",

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import comb
 
 from .hermite import fact, hermite_egf, hermite_poly
-from .hypergeom import DomainError, HypergeomSpec, pfq_series
+from .hypergeom import DomainError, pfq_series
 from .normal_ordering import SemiLinearOp
 from .operators import shift
 from .series import BivarPoly, LambdaSeries
@@ -35,43 +35,40 @@ from .series import BivarPoly, LambdaSeries
 
 @dataclass(frozen=True)
 class ClosedFormBranch:
-    """One branch of the closed form: lambda-shift, y-power, and pFq data."""
+    """One branch of the closed form: lambda-shift, prefactor y-power and pFq block.
+
+    Every block parameter is an integer numerator over the one denominator
+    ``den`` (K for even K, 2K for odd K): at step s the upper parameters are
+    (u + K*s)/den for u in ``upper`` and the lower ones b/den for b in
+    ``lower``.  The block argument is arg_coef * lambda^arg_lpow * y^arg_ypow.
+    """
 
     lambda_shift: int           # d in lambda^(s+d)/(s+d)!
     y_power: int                # b: prefactor carries y^b and the factorial ratio
-    upper_s_coef: Fraction      # upper parameters are s_coef*s + const
-    upper_consts: tuple[Fraction, ...]
-    lower: tuple[Fraction, ...]
-    arg_coef: Fraction
+    den: int
+    upper: tuple[int, ...]
+    lower: tuple[int, ...]
+    arg_coef: int
     arg_lpow: int
     arg_ypow: int
 
     def x_power(self, K: int, s: int) -> int:
         return K * (s + self.lambda_shift) - 2 * self.y_power
 
-    def factorial_ratio(self, K: int, s: int) -> Fraction:
+    def factorial_ratio(self, K: int, s: int) -> int:
         n = K * (s + self.lambda_shift)
-        return Fraction(fact(n), fact(n - 2 * self.y_power) * fact(self.y_power))
+        return fact(n) // (fact(n - 2 * self.y_power) * fact(self.y_power))
 
-    def pfq_spec(self, s: int) -> HypergeomSpec:
-        upper = tuple(self.upper_s_coef * s + c for c in self.upper_consts)
-        return HypergeomSpec(upper, self.lower, self.arg_coef,
-                             self.arg_lpow, 0, self.arg_ypow)
-
-    def to_json(self) -> dict:
-        sc = self.upper_s_coef
-        s_str = "s" if sc == 1 else f"{sc}*s"
+    def to_json(self, K: int) -> dict:
+        step = Fraction(K, self.den)
+        s_str = "s" if step == 1 else f"{step}*s"
         return {
             "lambda_shift": self.lambda_shift,
             "y_power": self.y_power,
-            "upper": [f"{s_str} + {c}" for c in self.upper_consts],
-            "lower": [str(b) for b in self.lower],
-            "arg": {
-                "coef": f"{self.arg_coef.numerator}/{self.arg_coef.denominator}",
-                "lp": self.arg_lpow,
-                "xp": 0,
-                "yp": self.arg_ypow,
-            },
+            "upper": [f"{s_str} + {Fraction(u, self.den)}" for u in self.upper],
+            "lower": [str(Fraction(b, self.den)) for b in self.lower],
+            "arg": {"coef": f"{self.arg_coef}/1", "lp": self.arg_lpow, "xp": 0,
+                    "yp": self.arg_ypow},
         }
 
 
@@ -81,49 +78,36 @@ class ClosedFormPlan:
     branches: tuple[ClosedFormBranch, ...]
 
     def to_json(self) -> dict:
-        return {"K": self.K, "branches": [b.to_json() for b in self.branches]}
+        return {"K": self.K, "branches": [b.to_json(self.K) for b in self.branches]}
 
 
 def closed_form_plan(K: int) -> ClosedFormPlan:
-    """Branch structure of the K-tuple closed form (K >= 2)."""
+    """Branch structure of the K-tuple closed form (K >= 2).
+
+    With P = K/2 for even K and P = K for odd K, every parameter is over
+    den = 2P.  Even K has a (K-1)F(P-1) block with argument lambda*(2Ky)^P and
+    upper parameters d + s + j/K; odd K has a (2K-2)F(K-1) block with argument
+    lambda^2*(4Ky)^K/4 and upper parameters d/2 + s/2 + j/(2K), j != K.  The
+    branch with y-power b has the lower parameters m/P, m = b+1 ... b+P
+    except P.
+    """
     if K < 2:
         raise ValueError("closed-form plan requires K >= 2")
     T = K // 2
-    branches = []
+    P = T if K % 2 == 0 else K
+    arg = ((2 * K) ** T, 1, T) if K % 2 == 0 else ((4 * K) ** K // 4, 2, K)
+    consts = [j for j in range(1, 2 * P) if j != K]
+
+    def branch(d: int, b: int) -> ClosedFormBranch:
+        return ClosedFormBranch(d, b, 2 * P, tuple(d * K + j for j in consts),
+                                tuple(2 * m for m in range(b + 1, b + P + 1) if m != P),
+                                *arg)
+
     if K % 2 == 0:
-        # argument lambda * (2Ky)^T; block (K-1)F(T-1)
-        arg_coef = Fraction(2 * K) ** T
-        consts = tuple(Fraction(j + 1, K) for j in range(K - 1))
-        main_lower = tuple(Fraction(l + 1, T) for l in range(T - 1))
-        branches.append(ClosedFormBranch(0, 0, Fraction(1), consts,
-                                         main_lower, arg_coef, 1, T))
-        for b in range(1, T):
-            lower = tuple(Fraction(b + l + 1, T) for l in range(T)
-                          if l != T - 1 - b)
-            branches.append(ClosedFormBranch(
-                1, b, Fraction(1), tuple(1 + c for c in consts),
-                lower, arg_coef, 1, T))
+        branches = [branch(0, 0)] + [branch(1, b) for b in range(1, T)]
     else:
-        # argument lambda^2 * (4Ky)^K / 4; block (2K-2)F(K-1)
-        arg_coef = Fraction(4 * K) ** K / 4
-        consts = tuple(Fraction(j + 1, 2 * K) for j in range(2 * K - 1)
-                       if j != K - 1)
-        half = Fraction(1, 2)
-        main_lower = tuple(Fraction(l + 1, K) for l in range(K - 1))
-        branches.append(ClosedFormBranch(0, 0, half, consts,
-                                         main_lower, arg_coef, 2, K))
-        for b in range(1, T + 1):
-            lower = tuple(Fraction(b + l + 1, K) for l in range(K)
-                          if l != K - 1 - b)
-            branches.append(ClosedFormBranch(
-                1, b, half, tuple(half + c for c in consts),
-                lower, arg_coef, 2, K))
-        for b in range(1, T + 1):
-            lower = tuple(Fraction(T + b + l + 1, K) for l in range(K)
-                          if l != T - b)
-            branches.append(ClosedFormBranch(
-                2, T + b, half, tuple(1 + c for c in consts),
-                lower, arg_coef, 2, K))
+        branches = ([branch(0, 0)] + [branch(1, b) for b in range(1, T + 1)]
+                    + [branch(2, T + b) for b in range(1, T + 1)])
     return ClosedFormPlan(K, tuple(branches))
 
 
@@ -155,26 +139,31 @@ def _leibniz_prefactor(P: int, parts: list[dict]) -> dict:
 def _evaluate_plan(plan: ClosedFormPlan, L: int, order: int) -> LambdaSeries:
     """Sum over branches and s of lambda^p0 * prefactor * pFq block.
 
-    The prefactor is integer numerators times one rational scale per
-    (branch, s); every block coefficient is a monomial, multiplied straight
-    into the prefactor's numerators.
+    The prefactor is integer numerators times the factorial ratio over p0!;
+    block term t is a rational times lambda^(t*lp) y^(t*yp), multiplied
+    straight into the prefactor's numerators.
     """
+    K = plan.K
     H = [hermite_poly(j).num for j in range(L + 1)]
 
     def terms():
         for br in plan.branches:
             parts = _leibniz_parts(H, br.y_power)
+            lower = [(b, br.den) for b in br.lower]
+            lp, yp_step = br.arg_lpow, br.arg_ypow
             for s in range(order + 1 - br.lambda_shift):
                 p0 = s + br.lambda_shift
-                pref = _leibniz_prefactor(br.x_power(plan.K, s), parts).items()
-                scale = br.factorial_ratio(plan.K, s) / fact(p0)
-                block = pfq_series(br.pfq_spec(s), order - p0)
-                for i, c in enumerate(block.coeffs):
-                    den = c.den * scale.denominator
-                    for (bx, by), bv in c.num.items():
-                        bv *= scale.numerator
-                        for (xp, yp), v in pref:
-                            yield p0 + i, xp + bx, yp + by, v * bv, den
+                pref = _leibniz_prefactor(br.x_power(K, s), parts).items()
+                ratio, p0_fact = br.factorial_ratio(K, s), fact(p0)
+                upper = [(u + K * s, br.den) for u in br.upper]
+                block = pfq_series(upper, lower, (br.arg_coef, 1), (order - p0) // lp + 1)
+                for t, (bn, bd) in enumerate(block):
+                    if not bn:
+                        break  # an upper parameter reached 0: so do all later terms
+                    bn *= ratio
+                    bd *= p0_fact
+                    for (xp, yp), v in pref:
+                        yield p0 + t * lp, xp, yp + t * yp_step, v * bn, bd
 
     return LambdaSeries.collect(order, terms())
 

@@ -1,19 +1,16 @@
 """Pochhammer symbols, truncated pFq blocks, and the multiplication-formula check.
 
-Every hypergeometric block used by the closed forms has a *monomial*
-argument c * lambda^lp * x^xp * y^yp with lp >= 1, so extracting the
-coefficient of a fixed lambda-power is a finite computation.  Gamma
-functions never appear: all identities are cast as exact rational
-Pochhammer / factorial identities.
+A truncated pFq block is its first terms z^t prod (a)_t / (t! prod (b)_t),
+with every parameter and the argument z an integer (numerator, denominator)
+pair; the closed forms place the monomial lambda^(t*lp) y^(t*yp) that term t
+multiplies.  Gamma functions never appear: all identities are cast as exact
+rational Pochhammer / factorial identities.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-
-from .series import BivarPoly, LambdaSeries
 
 
 class PoleError(ZeroDivisionError):
@@ -35,69 +32,37 @@ def pochhammer(a, b: int) -> Fraction:
     return result
 
 
-@dataclass(frozen=True)
-class HypergeomSpec:
-    """One pFq block with a monomial argument in (lambda, x, y)."""
+def pfq_series(upper, lower, z, count: int) -> list[tuple[int, int]]:
+    """Terms 0 ... count-1 of pFq(upper; lower; z), each a reduced (num, den), den > 0.
 
-    upper: tuple[Fraction, ...]
-    lower: tuple[Fraction, ...]
-    arg_coef: Fraction
-    arg_lpow: int
-    arg_xpow: int = 0
-    arg_ypow: int = 0
-
-    @classmethod
-    def make(cls, upper, lower, arg_coef, arg_lpow, arg_xpow=0, arg_ypow=0):
-        return cls(
-            tuple(Fraction(a) for a in upper),
-            tuple(Fraction(b) for b in lower),
-            Fraction(arg_coef),
-            arg_lpow,
-            arg_xpow,
-            arg_ypow,
-        )
-
-
-def _check_pole(b: Fraction, s: int, term: int):
-    if b.denominator == 1 and b <= 0 and -b < s:
-        raise PoleError(
-            f"lower parameter {b} is a pole at term {term} (index reaches 0)"
-        )
-
-
-def pfq_series(spec: HypergeomSpec, order: int) -> LambdaSeries:
-    """Truncated pFq block: sum over s with s * arg_lpow <= order.
-
-    Term s comes from term s-1 through the term ratio
-    z * prod(a + s-1) / (s * prod(b + s-1)), on integer numerators and
-    denominators with one gcd per term.  Every lower parameter is checked
-    for a pole at every s, also after an upper parameter has made the terms 0.
+    The parameters and z are (num, den) integer pairs with den > 0.  Term t
+    comes from term t-1 through the term ratio
+    z * prod(a + t-1) / (t * prod(b + t-1)), on integers with one gcd per
+    term.  A lower parameter -m with m + 1 < count is a pole within the range
+    and raises PoleError before any term is computed, also when an upper
+    parameter would have made the terms from there on 0.
     """
-    if spec.arg_lpow < 1:
-        raise DomainError("argument must carry a positive lambda-power")
-    out = LambdaSeries.zero(order)
-    upper = [(a.numerator, a.denominator) for a in spec.upper]
-    lower = [(b.numerator, b.denominator) for b in spec.lower]
+    for bn, bd in lower:
+        if bn <= 0 and bn % bd == 0 and -bn // bd + 1 < count:
+            raise PoleError(f"lower parameter {bn // bd} is a pole at term "
+                            f"{-bn // bd + 1} (index reaches 0)")
+    zn, zd = z
     num, den = 1, 1
-    for s in range(order // spec.arg_lpow + 1):
-        for b in spec.lower:
-            _check_pole(b, s, s)
-        if s and num:
-            num *= spec.arg_coef.numerator
-            den *= spec.arg_coef.denominator * s
+    terms = []
+    for t in range(count):
+        if t and num:
+            num *= zn
+            den *= zd * t
             for an, ad in upper:
-                num *= an + (s - 1) * ad
+                num *= an + (t - 1) * ad
                 den *= ad
             for bn, bd in lower:
                 num *= bd
-                den *= bn + (s - 1) * bd
+                den *= bn + (t - 1) * bd
             g = gcd(num, den) if den > 0 else -gcd(num, den)
             num, den = num // g, den // g
-        if num:
-            out.coeffs[s * spec.arg_lpow] = BivarPoly.from_numerators(
-                {(s * spec.arg_xpow, s * spec.arg_ypow): num}, den
-            )
-    return out
+        terms.append((num, den))
+    return terms
 
 
 def gmfc_check(n: int, s: int, x) -> bool:

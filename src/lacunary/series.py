@@ -17,6 +17,7 @@ it retains.  Differentiation decreases the order and raises
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from types import MappingProxyType
@@ -26,7 +27,14 @@ class TruncationUnderflowError(ValueError):
     """Requested more differentiations than the truncation order supports."""
 
 
-Rational = Fraction | int
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _json_int(value) -> int:
+    """A JSON integer, or a string of one in decimal; floats and booleans are refused."""
+    if type(value) is int or (type(value) is str and _INTEGER.fullmatch(value)):
+        return int(value)
+    raise TypeError(f"expected an integer or a decimal-integer string, got {value!r}")
 
 
 def _frac(value) -> Fraction:
@@ -229,7 +237,8 @@ class BivarPoly:
     def from_json(cls, data: list) -> "BivarPoly":
         if not isinstance(data, list):
             raise TypeError(f"a polynomial is a JSON list of terms, got {data!r}")
-        terms = {(t["xp"], t["yp"]): Fraction(int(t["num"]), int(t["den"])) for t in data}
+        terms = {(t["xp"], t["yp"]): Fraction(_json_int(t["num"]), _json_int(t["den"]))
+                 for t in data}
         if len(terms) < len(data) or any(type(e) is not int for k in terms for e in k):
             raise TypeError("polynomial terms need distinct integer exponents")
         return cls(terms)
@@ -409,9 +418,9 @@ class LambdaSeries:
 
     @classmethod
     def from_json(cls, data: dict) -> "LambdaSeries":
-        return cls(
-            data["order"], [BivarPoly.from_json(c) for c in data["coeffs"]]
-        )
+        if type(data["order"]) is not int:
+            raise TypeError(f"series order must be an integer, got {data['order']!r}")
+        return cls(data["order"], [BivarPoly.from_json(c) for c in data["coeffs"]])
 
     def __str__(self):
         parts = []

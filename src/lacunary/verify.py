@@ -52,6 +52,8 @@ class VerifyConfig:
         if self.l_min < 0 or self.l_min > self.l_max:
             raise ValueError("invalid L range")
         ks = range(self.k_min, self.k_max + 1)
+        if any(self.n_for(K) < 0 for K in ks):
+            raise ValueError(f"n_max must be >= 0, got {self.n_max!r}")
         check_cap(max(max(self.n_for(K) * K + self.l_max, RESUM_ORDER * K) for K in ks))
 
     def n_for(self, K: int) -> int:

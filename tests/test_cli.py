@@ -81,6 +81,11 @@ class TestVerify:
         with pytest.raises(ValueError):
             VerifyConfig(k_min=0, k_max=3)
 
+    def test_negative_n_max_names_the_field(self):
+        for n_max in (-1, {2: 3, 3: -1}):
+            with pytest.raises(ValueError, match="n_max"):
+                VerifyConfig(k_min=2, k_max=3, n_max=n_max)
+
     def test_appendix_sweep_passes(self, capsys, monkeypatch):
         # the default sweep reaches H_75 (K = 5, n = 15), so a cap of 75 admits it
         monkeypatch.setenv("LACUNAE_CAP", "75")
@@ -169,7 +174,9 @@ class TestSubcommands:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_malformed_series_json(self, capsys, monkeypatch):
-        for text in ('{"order":1}', '[1, 2]', '{"order":0,"coeffs":[[{"xp":0}]]}'):
+        term = '{"order":%s,"coeffs":[[{"xp":0,"yp":0,"num":%s,"den":1}]]}'
+        for text in ('{"order":1}', '[1, 2]', '{"order":0,"coeffs":[[{"xp":0}]]}',
+                     term % (0, 1.5), term % (0, "true"), term % ("true", 1)):
             monkeypatch.setattr("sys.stdin", io.StringIO(text))
             assert main(["dilate", "2"]) == 2, text
             assert capsys.readouterr().err.startswith("error: "), text
@@ -199,6 +206,7 @@ class TestSubcommands:
                                              '{"xp":1,"yp":0,"num":"2","den":"1"}]'],
         ["nieto-truax", "2", "0", "--lambda", "1/0"],
         ["nieto-truax", "3", "1", "--terms", "-5"],
+        ["verify", "--kmin", "2", "--nmax", "-1"],
     ], ids=" ".join)
     def test_malformed_input(self, argv, capsys):
         assert main(argv) == 2

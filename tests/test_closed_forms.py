@@ -40,37 +40,62 @@ class TestPlanStructure:
             T = K // 2
             for br in closed_form_plan(K).branches:
                 if K % 2 == 0:
-                    assert len(br.upper_consts) == K - 1
+                    assert br.den == K
+                    assert len(br.upper) == K - 1
                     assert len(br.lower) == T - 1
                 else:
-                    assert len(br.upper_consts) == 2 * K - 2
+                    assert br.den == 2 * K
+                    assert len(br.upper) == 2 * K - 2
                     assert len(br.lower) == K - 1
 
     def test_k4_branches(self):
         plan = closed_form_plan(4)
         main, beta1 = plan.branches
-        assert [str(c) for c in main.upper_consts] == ["1/4", "1/2", "3/4"]
-        assert [str(b) for b in main.lower] == ["1/2"]
+        assert [Fraction(u, main.den) for u in main.upper] == [
+            Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
+        assert [Fraction(b, main.den) for b in main.lower] == [Fraction(1, 2)]
         assert main.arg_coef == 64 and main.arg_lpow == 1 and main.arg_ypow == 2
         assert beta1.lambda_shift == 1 and beta1.y_power == 1
-        assert [str(b) for b in beta1.lower] == ["3/2"]
-        assert beta1.factorial_ratio(4, 0) == Fraction(fact(4), fact(2))
+        assert [Fraction(b, beta1.den) for b in beta1.lower] == [Fraction(3, 2)]
+        assert beta1.factorial_ratio(4, 0) == fact(4) // fact(2)
 
     def test_plan_json_arg(self):
         arg = closed_form_plan(4).to_json()["branches"][0]["arg"]
         assert arg == {"coef": "64/1", "lp": 1, "xp": 0, "yp": 2}
 
+    def test_plan_json_pinned(self):
+        arg3 = {"coef": "432/1", "lp": 2, "xp": 0, "yp": 3}
+        assert closed_form_plan(3).to_json() == {"K": 3, "branches": [
+            {"lambda_shift": 0, "y_power": 0,
+             "upper": ["1/2*s + 1/6", "1/2*s + 1/3", "1/2*s + 2/3", "1/2*s + 5/6"],
+             "lower": ["1/3", "2/3"], "arg": arg3},
+            {"lambda_shift": 1, "y_power": 1,
+             "upper": ["1/2*s + 2/3", "1/2*s + 5/6", "1/2*s + 7/6", "1/2*s + 4/3"],
+             "lower": ["2/3", "4/3"], "arg": arg3},
+            {"lambda_shift": 2, "y_power": 2,
+             "upper": ["1/2*s + 7/6", "1/2*s + 4/3", "1/2*s + 5/3", "1/2*s + 11/6"],
+             "lower": ["4/3", "5/3"], "arg": arg3},
+        ]}
+        arg4 = {"coef": "64/1", "lp": 1, "xp": 0, "yp": 2}
+        assert closed_form_plan(4).to_json() == {"K": 4, "branches": [
+            {"lambda_shift": 0, "y_power": 0, "upper": ["s + 1/4", "s + 1/2", "s + 3/4"],
+             "lower": ["1/2"], "arg": arg4},
+            {"lambda_shift": 1, "y_power": 1, "upper": ["s + 5/4", "s + 3/2", "s + 7/4"],
+             "lower": ["3/2"], "arg": arg4},
+        ]}
+
     def test_k5_argument_monomial(self):
         plan = closed_form_plan(5)
         br = plan.branches[0]
-        assert br.arg_coef == Fraction(2**8 * 5**5)
+        assert br.arg_coef == 2**8 * 5**5
         assert br.arg_lpow == 2 and br.arg_ypow == 5
-        assert br.upper_s_coef == Fraction(1, 2)
+        # the upper parameters (u + K*s)/den step by s/2
+        assert Fraction(5, br.den) == Fraction(1, 2)
 
     def test_k3_shifted_first_branch_lower(self):
         # second branch of K=3 pairs with lower parameters {2/3, 4/3}
-        plan = closed_form_plan(3)
-        assert [str(b) for b in plan.branches[1].lower] == ["2/3", "4/3"]
+        br = closed_form_plan(3).branches[1]
+        assert [Fraction(b, br.den) for b in br.lower] == [Fraction(2, 3), Fraction(4, 3)]
 
     def test_no_pole_in_lower_lists(self):
         for K in range(2, 11):

@@ -8,10 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacunary import (
-    BivarPoly,
     DomainError,
-    HypergeomSpec,
-    LambdaSeries,
     PoleError,
     gmfc_check,
     pfq_series,
@@ -41,89 +38,71 @@ class TestPochhammer:
         assert pochhammer(a, b + 1) == pochhammer(a, b) * (a + b)
 
 
+def pairs(*values):
+    return [(Fraction(v).numerator, Fraction(v).denominator) for v in values]
+
+
 class TestPfqSeries:
     def test_0f0_is_exponential(self):
-        spec = HypergeomSpec.make([], [], 1, 1)
-        s = pfq_series(spec, 5)
-        for k in range(6):
-            assert s.coeffs[k] == BivarPoly.constant(Fraction(1, factorial(k)))
+        assert pfq_series([], [], (1, 1), 6) == [(1, factorial(k)) for k in range(6)]
 
     def test_2f1_geometric(self):
-        # parameters cancel pairwise, leaving sum lambda^s
-        spec = HypergeomSpec.make([1, 1], [1], 1, 1)
-        s = pfq_series(spec, 4)
-        assert all(s.coeffs[k] == BivarPoly.constant(1) for k in range(5))
+        # parameters cancel pairwise, leaving sum z^s
+        assert pfq_series(pairs(1, 1), pairs(1), (1, 1), 5) == [(1, 1)] * 5
 
     def test_3f1_first_term(self):
-        # s=1 term of 3F1[1/4,1/2,3/4; 1/2](64 lambda y^2) is 12 lambda y^2
-        spec = HypergeomSpec.make(
-            [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)],
-            [Fraction(1, 2)],
-            64, 1, 0, 2,
-        )
-        s = pfq_series(spec, 1)
-        assert s.coeffs[1] == BivarPoly.monomial(12, 0, 2)
+        # s=1 term of 3F1[1/4,1/2,3/4; 1/2](64) is 12; the caller places lambda y^2
+        block = pfq_series(pairs(Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)),
+                           pairs(Fraction(1, 2)), (64, 1), 2)
+        assert block[1] == (12, 1)
 
     def test_termwise_ratio(self):
-        spec = HypergeomSpec.make(
-            [Fraction(1, 3), Fraction(5, 2)], [Fraction(7, 4)], Fraction(3, 2), 1
-        )
-        series = pfq_series(spec, 6)
+        upper, lower, z = [Fraction(1, 3), Fraction(5, 2)], [Fraction(7, 4)], Fraction(3, 2)
+        block = [Fraction(n, d) for n, d in pfq_series(pairs(*upper), pairs(*lower),
+                                                        (3, 2), 7)]
         for s in range(6):
-            t0 = series.coeffs[s].coefficient(0, 0)
-            t1 = series.coeffs[s + 1].coefficient(0, 0)
-            ratio = spec.arg_coef
-            for a in spec.upper:
+            ratio = z
+            for a in upper:
                 ratio *= a + s
-            for b in spec.lower:
+            for b in lower:
                 ratio /= b + s
             ratio /= s + 1
-            assert t1 == t0 * ratio
+            assert block[s + 1] == block[s] * ratio
 
     def test_pole_detection(self):
-        spec = HypergeomSpec.make([1], [-2], 1, 1)
         with pytest.raises(PoleError):
-            pfq_series(spec, 5)
+            pfq_series(pairs(1), pairs(-2), (1, 1), 6)
         # truncation below the pole stays fine
-        assert pfq_series(spec, 2).coeffs[0] == BivarPoly.constant(1)
+        assert pfq_series(pairs(1), pairs(-2), (1, 1), 3)[0] == (1, 1)
 
     def test_pole_after_zero_terms(self):
         # (-1)_s = 0 from s = 2 on, but the lower -3 still poles at s = 4
-        spec = HypergeomSpec.make([-1], [-3], 1, 1)
         for order in (4, 7):
             with pytest.raises(PoleError):
-                pfq_series(spec, order)
+                pfq_series(pairs(-1), pairs(-3), (1, 1), order + 1)
 
     def test_zero_terms_below_the_pole(self):
-        spec = HypergeomSpec.make([-1], [-3], 1, 1)
-        s = pfq_series(spec, 3)
-        assert s.coeffs[:2] == [BivarPoly.constant(1), BivarPoly.constant(Fraction(1, 3))]
-        assert s.coeffs[2].is_zero() and s.coeffs[3].is_zero()
+        # 1 + z/3 at order 3
+        assert pfq_series(pairs(-1), pairs(-3), (1, 1), 4) == [(1, 1), (1, 3), (0, 1), (0, 1)]
 
     @given(
         st.lists(params, max_size=3),
         st.lists(params.filter(lambda b: not (b.denominator == 1 and b <= 0)), max_size=3),
         st.fractions(min_value=-9, max_value=9, max_denominator=7),
-        st.integers(1, 3), st.integers(0, 2), st.integers(0, 2), st.integers(0, 9),
+        st.integers(0, 10),
     )
     @settings(max_examples=80, deadline=None)
-    def test_matches_pochhammer_definition(self, upper, lower, z, lp, xp, yp, order):
+    def test_matches_pochhammer_definition(self, upper, lower, z, count):
         # term s is z^s prod (a)_s / (s! prod (b)_s), each Pochhammer symbol built afresh
-        spec = HypergeomSpec.make(upper, lower, z, lp, xp, yp)
-        expected = LambdaSeries.zero(order)
-        for s in range(order // lp + 1):
+        expected = []
+        for s in range(count):
             c = z**s / factorial(s)
             for a in upper:
                 c *= pochhammer(a, s)
             for b in lower:
                 c /= pochhammer(b, s)
-            expected.coeffs[s * lp] = BivarPoly.monomial(c, s * xp, s * yp)
-        assert pfq_series(spec, order) == expected
-
-    def test_lambda_power_required(self):
-        spec = HypergeomSpec.make([], [], 1, 0)
-        with pytest.raises(DomainError):
-            pfq_series(spec, 3)
+            expected.append((c.numerator, c.denominator))
+        assert pfq_series(pairs(*upper), pairs(*lower), pairs(z)[0], count) == expected
 
 
 class TestGmfc:
