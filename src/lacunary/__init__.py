@@ -16,7 +16,6 @@ from .hermite import (
     hermite_coeff_table,
     hermite_egf,
     hermite_poly,
-    table_egf,
 )
 from .hypergeom import (
     DomainError,
@@ -99,7 +98,6 @@ __all__ = [
     "run_verification",
     "series_exp",
     "shift",
-    "table_egf",
 ]
 
 __version__ = "0.1.0"

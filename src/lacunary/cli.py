@@ -72,7 +72,8 @@ def _parse(what: str, parse, text: str):
     """parse(text), with malformed input reported as a usage error."""
     try:
         return parse(text)
-    except (KeyError, TypeError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ZeroDivisionError, json.JSONDecodeError,
+            RecursionError) as exc:
         raise UsageError(f"malformed {what}: {exc!r}") from None
 
 
@@ -210,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     nt.add_argument("--lambda", dest="lam", default="1/10")
     nt.add_argument("--x", default="1")
     nt.add_argument("--y", default="1/2")
-    nt.add_argument("--bits", type=int, default=256)
+    nt.add_argument("--bits", type=int, default=256, help="precision, 64..8192")
     nt.add_argument("--terms", type=int, default=30)
 
     e = command("emit", run_emit, "serialize a stock series")

@@ -28,7 +28,7 @@ from math import comb
 
 from .hermite import fact, hermite_egf, hermite_poly
 from .hypergeom import DomainError, pfq_series
-from .normal_ordering import SemiLinearOp
+from .normal_ordering import SemiLinearOp, exp_action
 from .operators import shift
 from .series import BivarPoly, LambdaSeries
 
@@ -209,12 +209,9 @@ def rk_series(K: int, mu_order: int, lambda_order: int) -> RkSeries:
     if mu_order < 0 or lambda_order < 0:
         raise ValueError("orders must be >= 0")
     raising = SemiLinearOp(q=BivarPoly.monomial(2, 0, 1), v=BivarPoly.x())
-    coeffs = closed_form_HKL(K, 0, lambda_order).coeffs
-    mu_coeffs = []
-    for L in range(mu_order + 1):
-        if L:
-            coeffs = [raising.apply(c) for c in coeffs]
-        mu_coeffs.append(LambdaSeries(lambda_order, coeffs) * Fraction(1, fact(L)))
+    mu_coeffs = exp_action(
+        lambda g: LambdaSeries(lambda_order, [raising.apply(c) for c in g.coeffs]),
+        closed_form_HKL(K, 0, lambda_order), mu_order)
     return RkSeries(K, mu_order, lambda_order, tuple(mu_coeffs))
 
 
@@ -228,8 +225,8 @@ def nieto_truax(K: int, L: int, lam, x, y, precision_bits: int = 256):
         raise DomainError("K must be >= 1")
     if not 0 <= L < K:
         raise DomainError("require 0 <= L < K")
-    if precision_bits < 64:
-        raise DomainError("precision_bits must be >= 64")
+    if not 64 <= precision_bits <= 8192:  # past ~14,300 bits nstr hits the int-str limit
+        raise DomainError("precision_bits must lie in 64..8192")
     import mpmath  # deferred: only this numeric path needs it
 
     def to_mpf(v):

@@ -74,15 +74,3 @@ def hermite_coeff_table() -> CoeffTable:
     """The Hermite EGF expansion table: zero off even m, (r+2m)! y^m/(r! m!) on it."""
     return CoeffTable(generator=_hermite_entry, name="hermite")
 
-
-def table_egf(table: CoeffTable, order: int) -> LambdaSeries:
-    """Reconstruct the EGF sum_r x^r sum_m lambda^(r+m)/(r+m)! g_{r,m}(y)."""
-    def terms():
-        for r in range(order + 1):
-            for m in range(order + 1 - r):
-                g = table(r, m)
-                den = g.den * fact(r + m)
-                for (xp, yp), c in g.num.items():
-                    yield r + m, r + xp, yp, c, den
-
-    return LambdaSeries.collect(order, terms())

@@ -8,9 +8,11 @@ function T and the prefactor g solve the formal initial value problem
     d(ln g)/dmu = v(T),   g(0; x) = 1.
 
 The IVP is solved degree by degree in mu -- polynomial right-hand sides
-always have a unique formal solution.  `apply_exp_op` computes both the
-direct operator exponential and the (g, T) route and insists they agree,
-making the module a self-testing witness for the normal-ordering theorem.
+always have a unique formal solution.  `exp_action` is the one loop that
+expands exp(mu*A) f = sum_k mu^k A^k f / k! directly.  `apply_exp_op`
+computes both that direct operator exponential and the (g, T) route and
+insists they agree, making the module a self-testing witness for the
+normal-ordering theorem.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ def _sum_x_powers(p: BivarPoly, start: LambdaSeries, step) -> LambdaSeries:
     by_xpow: dict[int, dict] = {}
     for (a, b), c in p.num.items():
         by_xpow.setdefault(a, {})[(0, b)] = c
-    out = LambdaSeries.zero(start.order)
+    out = LambdaSeries(start.order)
     power = start
     for a in range(max(by_xpow, default=0) + 1):
         if a > 0:
@@ -76,11 +78,22 @@ def normal_order(op: SemiLinearOp, order: int) -> NormalOrderResult:
         t_coeffs.append(rhs.coeffs[k] * Fraction(1, k + 1))
     T = LambdaSeries(order, t_coeffs)
     vT = compose(op.v, T)
-    log_g = LambdaSeries.zero(order)
+    log_g = LambdaSeries(order)
     for j in range(order):
         log_g.coeffs[j + 1] = vT.coeffs[j] * Fraction(1, j + 1)
     g = series_exp(log_g)
     return NormalOrderResult(T_series=T, g_series=g, order=order)
+
+
+def exp_action(step, f, order: int) -> list:
+    """[f, step(f)/1!, step^2(f)/2!, ..., step^order(f)/order!]: the mu-coefficients of
+    exp(mu*A) f, where step applies the operator A to a polynomial or a series."""
+    out, u = [], f
+    for k in range(order + 1):
+        if k:
+            u = step(u)
+        out.append(u * Fraction(1, fact(k)))
+    return out
 
 
 def apply_exp_op(op: SemiLinearOp, order: int, f: BivarPoly) -> LambdaSeries:
@@ -89,12 +102,7 @@ def apply_exp_op(op: SemiLinearOp, order: int, f: BivarPoly) -> LambdaSeries:
     Raises ConsistencyError if the two routes disagree (an implementation
     bug, never a property of valid inputs).
     """
-    direct = LambdaSeries.zero(order)
-    u = f
-    for k in range(order + 1):
-        direct.coeffs[k] = u * Fraction(1, fact(k))
-        if k < order:
-            u = op.apply(u)
+    direct = LambdaSeries(order, exp_action(op.apply, f, order))
     nr = normal_order(op, order)
     factored = nr.g_series * compose(f, nr.T_series)
     if direct != factored:
@@ -102,18 +110,6 @@ def apply_exp_op(op: SemiLinearOp, order: int, f: BivarPoly) -> LambdaSeries:
             "direct operator exponential disagrees with the (g, T) factorization"
         )
     return direct
-
-
-def _exp_deriv_op(c: Fraction, m: int, h: BivarPoly, order: int) -> LambdaSeries:
-    """exp(c * mu * d^m/dx^m) h as a truncated mu-series (finite per coefficient)."""
-    out = LambdaSeries.zero(order)
-    u = h
-    for k in range(order + 1):
-        out.coeffs[k] = u * (c**k * Fraction(1, fact(k)))
-        if u.is_zero():
-            break
-        u = u.diff_x(m)
-    return out
 
 
 def crofton_check(m: int, y_coef, f: BivarPoly, g: BivarPoly, order: int) -> bool:
@@ -126,10 +122,9 @@ def crofton_check(m: int, y_coef, f: BivarPoly, g: BivarPoly, order: int) -> boo
     if m < 1:
         raise ValueError("m must be >= 1")
     c = Fraction(y_coef)
-    lhs = _exp_deriv_op(c, m, f * g, order)
 
-    # right side: apply f(x + m*c*mu*d^(m-1)) to the series exp(c mu d^m) g
-    base = _exp_deriv_op(c, m, g, order)
+    def exp_deriv(h: BivarPoly) -> LambdaSeries:  # exp(c mu d^m) h
+        return LambdaSeries(order, exp_action(lambda u: u.diff_x(m) * c, h, order))
 
     def x_op(series: LambdaSeries) -> LambdaSeries:
         # (x + m*c*mu*d^(m-1)) acting on a mu-series of polynomials
@@ -139,4 +134,5 @@ def crofton_check(m: int, y_coef, f: BivarPoly, g: BivarPoly, order: int) -> boo
         )
         return out + deriv.shifted(1)
 
-    return lhs == _sum_x_powers(f, base, x_op)
+    # left: exp(c mu d^m) (f g); right: f(x + m*c*mu*d^(m-1)) applied to exp(c mu d^m) g
+    return exp_deriv(f * g) == _sum_x_powers(f, exp_deriv(g), x_op)

@@ -21,37 +21,33 @@ from .hermite import CoeffTable, fact
 from .series import LambdaSeries, TruncationUnderflowError
 
 
-def dilate_bruteforce(series: LambdaSeries, K: int,
-                      out_order: int | None = None) -> LambdaSeries:
+def dilate_bruteforce(series: LambdaSeries, K: int) -> LambdaSeries:
     """Apply the K-fold dilatation rule literally to a truncated series.
 
-    The input must carry K times the truncation budget of the output: to
-    obtain `out_order` exact coefficients the input order must be at least
-    K * out_order.  With `out_order` unset, the output order is
-    floor(input order / K).
+    The output order is floor(input order / K): each exact output
+    coefficient n needs the input coefficient n*K.
     """
     if K < 1:
         raise ValueError("dilatation multiple K must be >= 1")
-    max_out = series.order // K
-    if out_order is None:
-        out_order = max_out
-    elif out_order > max_out:
-        raise TruncationUnderflowError(
-            f"output order {out_order} needs input order >= {K * out_order}, "
-            f"got {series.order}"
-        )
-    coeffs = [
-        series.coeffs[n * K] * (fact(n * K) // fact(n))
-        for n in range(out_order + 1)
-    ]
-    return LambdaSeries(out_order, coeffs)
+    order = series.order // K
+    coeffs = [series.coeffs[n * K] * (fact(n * K) // fact(n)) for n in range(order + 1)]
+    return LambdaSeries(order, coeffs)
 
 
 def shift(series: LambdaSeries, L: int) -> LambdaSeries:
-    """L-fold lambda-derivative; for the Hermite EGF this shifts H_n to H_(n+L)."""
+    """L-fold lambda-derivative; for the Hermite EGF this shifts H_n to H_(n+L).
+
+    The order drops by L.
+    """
     if L < 0:
         raise ValueError("shift L must be >= 0")
-    return series.diff_lambda(L)
+    if L > series.order:
+        raise TruncationUnderflowError(
+            f"cannot differentiate {L} times at order {series.order}"
+        )
+    order = series.order - L
+    coeffs = [series.coeffs[n + L] * (fact(n + L) // fact(n)) for n in range(order + 1)]
+    return LambdaSeries(order, coeffs)
 
 
 @dataclass(frozen=True)

@@ -11,16 +11,16 @@ truncated at an explicit inclusive order, with ``BivarPoly`` coefficients.
 
 Truncation semantics: binary operations on two series combine orders with
 ``min`` and silently truncate -- the result is exact for every coefficient
-it retains.  Differentiation decreases the order and raises
-:class:`TruncationUnderflowError` when asked to drop below order 0.
+it retains.  Differentiation in lambda (:func:`lacunary.operators.shift`)
+decreases the order and raises :class:`TruncationUnderflowError` when asked
+to drop below order 0.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import factorial, gcd, lcm
-from types import MappingProxyType
+from math import gcd, lcm
 
 
 class TruncationUnderflowError(ValueError):
@@ -52,7 +52,7 @@ class BivarPoly:
     by convention; all operations return new polynomials.
     """
 
-    __slots__ = ("num", "den", "_terms")
+    __slots__ = ("num", "den")
 
     def __init__(self, terms=None):
         """From a dict (x_power, y_power) -> Fraction or int; zero values are dropped."""
@@ -64,7 +64,6 @@ class BivarPoly:
         den = lcm(*(c.denominator for _, c in items))
         self.num = {k: c.numerator * (den // c.denominator) for k, c in items}
         self.den = den
-        self._terms = None
 
     # -- constructors -------------------------------------------------
 
@@ -82,7 +81,6 @@ class BivarPoly:
         out = cls.__new__(cls)
         out.num = num
         out.den = den
-        out._terms = None
         return out
 
     @classmethod
@@ -106,12 +104,10 @@ class BivarPoly:
         return cls({(0, 1): Fraction(1)})
 
     @property
-    def terms(self):
-        """Read-only view (x_power, y_power) -> Fraction, built on first read."""
-        if self._terms is None:
-            den = self.den
-            self._terms = {k: Fraction(v, den) for k, v in self.num.items()}
-        return MappingProxyType(self._terms)
+    def terms(self) -> dict:
+        """A new dict (x_power, y_power) -> Fraction on each read."""
+        den = self.den
+        return {k: Fraction(v, den) for k, v in self.num.items()}
 
     # -- ring operations ----------------------------------------------
 
@@ -303,10 +299,6 @@ class LambdaSeries:
         self.coeffs = coeffs
 
     @classmethod
-    def zero(cls, order: int) -> "LambdaSeries":
-        return cls(order)
-
-    @classmethod
     def one(cls, order: int) -> "LambdaSeries":
         coeffs = [BivarPoly.zero()] * (order + 1)
         coeffs[0] = BivarPoly.constant(1)
@@ -331,11 +323,6 @@ class LambdaSeries:
                 key = (xp, yp)
                 acc[key] = acc[key] + num if key in acc else num
         return cls(order, [_merge(by_den) for by_den in sums])
-
-    def truncate(self, order: int) -> "LambdaSeries":
-        if order >= self.order:
-            return self
-        return LambdaSeries(order, self.coeffs[: order + 1])
 
     # -- arithmetic -----------------------------------------------------
 
@@ -387,21 +374,6 @@ class LambdaSeries:
         for n in range(self.order + 1 - k):
             coeffs[n + k] = self.coeffs[n]
         return LambdaSeries(self.order, coeffs)
-
-    def diff_lambda(self, times: int = 1) -> "LambdaSeries":
-        """times-fold derivative; the order drops by `times`."""
-        if times < 0:
-            raise ValueError("negative differentiation count")
-        if times > self.order:
-            raise TruncationUnderflowError(
-                f"cannot differentiate {times} times at order {self.order}"
-            )
-        new_order = self.order - times
-        coeffs = [
-            self.coeffs[n + times] * (factorial(n + times) // factorial(n))
-            for n in range(new_order + 1)
-        ]
-        return LambdaSeries(new_order, coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, LambdaSeries):

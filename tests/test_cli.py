@@ -176,10 +176,15 @@ class TestSubcommands:
     def test_malformed_series_json(self, capsys, monkeypatch):
         term = '{"order":%s,"coeffs":[[{"xp":0,"yp":0,"num":%s,"den":1}]]}'
         for text in ('{"order":1}', '[1, 2]', '{"order":0,"coeffs":[[{"xp":0}]]}',
-                     term % (0, 1.5), term % (0, "true"), term % ("true", 1)):
+                     term % (0, 1.5), term % (0, "true"), term % ("true", 1),
+                     "[" * 100000):
             monkeypatch.setattr("sys.stdin", io.StringIO(text))
-            assert main(["dilate", "2"]) == 2, text
-            assert capsys.readouterr().err.startswith("error: "), text
+            assert main(["dilate", "2"]) == 2, text[:40]
+            assert capsys.readouterr().err.startswith("error: malformed "), text[:40]
+
+    def test_malformed_json_names_the_flag(self, capsys):
+        assert main(["normal-order", "--q", "[", "--v", "[]"]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed --q: ")
 
     @pytest.mark.parametrize("argv", CAPPED, ids=" ".join)
     def test_size_cap(self, argv):
@@ -206,6 +211,7 @@ class TestSubcommands:
                                              '{"xp":1,"yp":0,"num":"2","den":"1"}]'],
         ["nieto-truax", "2", "0", "--lambda", "1/0"],
         ["nieto-truax", "3", "1", "--terms", "-5"],
+        ["nieto-truax", "3", "1", "--bits", "8193"],
         ["verify", "--kmin", "2", "--nmax", "-1"],
     ], ids=" ".join)
     def test_malformed_input(self, argv, capsys):

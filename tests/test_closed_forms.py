@@ -237,4 +237,6 @@ class TestNietoTruax:
         with pytest.raises(DomainError):
             nieto_truax(2, 1, Fraction(1, 10), 1, 1, 32)
         with pytest.raises(DomainError):
+            nieto_truax(2, 1, Fraction(1, 10), 1, 1, precision_bits=8193)
+        with pytest.raises(DomainError):
             nieto_truax_partial_sum(3, 1, Fraction(1, 10), 1, 1, n_terms=-5)

@@ -78,9 +78,9 @@ def compose_series(outer: LambdaSeries, inner: LambdaSeries) -> LambdaSeries:
     """Substitute mu-series `inner` for x inside each coefficient of `outer`,
     re-expanding in the shared mu variable."""
     order = min(outer.order, inner.order)
-    out = LambdaSeries.zero(order)
+    out = LambdaSeries(order)
     for k, poly in enumerate(outer.coeffs[: order + 1]):
-        sub = compose(poly, inner.truncate(order - k))
+        sub = compose(poly, LambdaSeries(order - k, inner.coeffs[: order - k + 1]))
         for j, c in enumerate(sub.coeffs):
             out.coeffs[k + j] = out.coeffs[k + j] + c
     return out
