@@ -112,3 +112,14 @@ class TestCoeffTable:
         table = hermite_coeff_table()
         assert table(0, 2) == BivarPoly.monomial(2, 0, 1)
         assert table(2, 4) == BivarPoly.monomial(180, 0, 2)
+
+    def test_reconstructs_egf(self):
+        # sum_r x^r sum_m lambda^(r+m)/(r+m)! g_{r,m}(y), summed term by term.
+        table = hermite_coeff_table()
+        for order in (5, 12, 20):
+            coeffs = [BivarPoly.zero() for _ in range(order + 1)]
+            for r in range(order + 1):
+                for m in range(order + 1 - r):
+                    coeffs[r + m] += (BivarPoly.monomial(Fraction(1, fact(r + m)), r, 0)
+                                      * table(r, m))
+            assert LambdaSeries(order, coeffs) == hermite_egf(order)
