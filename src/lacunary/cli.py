@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -72,8 +73,7 @@ def _parse(what: str, parse, text: str):
     """parse(text), with malformed input reported as a usage error."""
     try:
         return parse(text)
-    except (KeyError, TypeError, ZeroDivisionError, json.JSONDecodeError,
-            RecursionError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
         raise UsageError(f"malformed {what}: {exc!r}") from None
 
 
@@ -148,7 +148,8 @@ def run_nieto_truax(args) -> str:
     check_cap(args.K * args.terms + args.L)  # the exact partial sum reaches H_(K*terms+L)
     import mpmath
 
-    lam, x, y = (_parse("number", Fraction, t) for t in (args.lam, args.x, args.y))
+    lam, x, y = (_parse(flag, Fraction, text) for flag, text in
+                 (("--lambda", args.lam), ("--x", args.x), ("--y", args.y)))
     value = nieto_truax(args.K, args.L, lam, x, y, precision_bits=args.bits)
     oracle = nieto_truax_partial_sum(args.K, args.L, lam, x, y, args.terms)
     return json.dumps({"real": mpmath.nstr(value.real, 40),
@@ -225,13 +226,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand and return its exit status; bad input exits 2."""
+    """Run one subcommand and return its exit status; bad input exits 2, and a
+    reader that closes stdout early exits 141 (128 + SIGPIPE) without a traceback."""
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        status = args.run(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
+        return status
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the flush at interpreter exit would fail again: let it write nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

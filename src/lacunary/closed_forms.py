@@ -89,13 +89,14 @@ def closed_form_plan(K: int) -> ClosedFormPlan:
     upper parameters d + s + j/K; odd K has a (2K-2)F(K-1) block with argument
     lambda^2*(4Ky)^K/4 and upper parameters d/2 + s/2 + j/(2K), j != K.  The
     branch with y-power b has the lower parameters m/P, m = b+1 ... b+P
-    except P.
+    except P.  There is one branch per y-power b = 0 ... P-1, with the
+    lambda-shift d = ceil(2b/K): the least d that makes the x-power K*d - 2b
+    non-negative.
     """
     if K < 2:
         raise ValueError("closed-form plan requires K >= 2")
-    T = K // 2
-    P = T if K % 2 == 0 else K
-    arg = ((2 * K) ** T, 1, T) if K % 2 == 0 else ((4 * K) ** K // 4, 2, K)
+    P = K // 2 if K % 2 == 0 else K
+    arg = ((2 * K) ** P, 1, P) if K % 2 == 0 else ((4 * K) ** K // 4, 2, K)
     consts = [j for j in range(1, 2 * P) if j != K]
 
     def branch(d: int, b: int) -> ClosedFormBranch:
@@ -103,12 +104,7 @@ def closed_form_plan(K: int) -> ClosedFormPlan:
                                 tuple(2 * m for m in range(b + 1, b + P + 1) if m != P),
                                 *arg)
 
-    if K % 2 == 0:
-        branches = [branch(0, 0)] + [branch(1, b) for b in range(1, T)]
-    else:
-        branches = ([branch(0, 0)] + [branch(1, b) for b in range(1, T + 1)]
-                    + [branch(2, T + b) for b in range(1, T + 1)])
-    return ClosedFormPlan(K, tuple(branches))
+    return ClosedFormPlan(K, tuple(branch(-(-2 * b // K), b) for b in range(P)))
 
 
 def _leibniz_parts(H: list[dict], y_power: int) -> list[dict]:

@@ -9,8 +9,10 @@ turning an EGF into its K-tuple lacunary EGF; the shift operator is L-fold
 differentiation in lambda.  The resummation replaces the brute-force
 substitution by explicit summand families over the coefficient table:
 every family contributes terms x^r * lambda^((r+m)/K) / ((r+m)/K)! * g_{r,m}(y)
-with r and m running over fixed residue classes mod K.  The parity-split
-variant separates the families by the parity of the second index m.
+with r and m running over fixed residue classes mod K.  Lemma 1 has one
+family per alpha = 0 ... K-1, r = -alpha and m = alpha mod K.  The
+parity-split variant (Corollary 1) splits each family whose m-step is odd
+into its even-t and odd-t halves and groups the families by the parity of m.
 """
 
 from __future__ import annotations
@@ -92,47 +94,35 @@ def _resum(table: CoeffTable, K: int, branches: tuple[Branch, ...],
 
 
 def lemma1_branches(K: int) -> tuple[Branch, ...]:
-    """Summand families of the generic resummation (alpha-sum empty for K=1)."""
-    branches = [Branch(x_offset=0, m_step=K, m_offset=0)]
-    for alpha in range(1, K):
-        branches.append(Branch(x_offset=K - alpha, m_step=K, m_offset=alpha))
-    return tuple(branches)
+    """Lemma 1's K summand families: for alpha = 0 ... K-1, r = -alpha and
+    m = alpha mod K, so r + m is a multiple of K."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    return tuple(Branch((-alpha) % K, K, alpha) for alpha in range(K))
 
 
 def parity_split_branches(K: int) -> tuple[tuple[Branch, ...], tuple[Branch, ...]]:
-    """Families regrouped by the parity of the second index m.
+    """Lemma 1's families regrouped by the parity of the second index m.
 
-    Returns (even_families, odd_families).  Their union re-sums to the
-    lemma1 families; for tables supported on even m the odd families
-    contribute nothing.  K=1 is the degenerate case where only the r = s*K
-    family survives, split into even and odd t.
+    A family with an odd m_step mixes parities, so it splits by the parity
+    of t into two families with step 2*m_step, at offsets m_offset and
+    m_offset + m_step.  The families, sorted by m_offset, are returned as
+    (even_families, odd_families).  Their union re-sums to the lemma1
+    families; for tables supported on even m the odd families contribute
+    nothing.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if K == 1:
-        even = (Branch(0, 2, 0),)
-        odd = (Branch(0, 2, 1),)
-        return even, odd
-    T = K // 2
-    if K % 2 == 0:
-        even = [Branch(0, K, 0)]
-        even += [Branch(K - 2 * b, K, 2 * b) for b in range(1, T)]
-        odd = [Branch(K - 2 * b + 1, K, 2 * b - 1) for b in range(1, T + 1)]
-        return tuple(even), tuple(odd)
-    # odd K = 2T+1: second-index strides are 2K so each family has fixed parity
-    even = [Branch(0, 2 * K, 0)]
-    even += [Branch(K - 2 * b, 2 * K, 2 * b) for b in range(1, T + 1)]
-    even += [Branch(K - 2 * b + 1, 2 * K, K + 2 * b - 1) for b in range(1, T + 1)]
-    odd = [Branch(0, 2 * K, K)]
-    odd += [Branch(K - 2 * b + 1, 2 * K, 2 * b - 1) for b in range(1, T + 1)]
-    odd += [Branch(K - 2 * b, 2 * K, K + 2 * b) for b in range(1, T + 1)]
-    return tuple(even), tuple(odd)
+    families = []
+    for br in lemma1_branches(K):
+        halves = 2 if br.m_step % 2 else 1
+        families += [Branch(br.x_offset, halves * br.m_step, br.m_offset + j * br.m_step)
+                     for j in range(halves)]
+    families.sort(key=lambda br: br.m_offset)
+    even = tuple(br for br in families if br.m_parity() == 0)
+    return even, tuple(br for br in families if br.m_parity() == 1)
 
 
 def resum_lemma1(table: CoeffTable, K: int, order: int) -> LambdaSeries:
     """Resummed K-fold dilatation of the table's EGF, truncated at `order`."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
     return _resum(table, K, lemma1_branches(K), order)
 
 

@@ -159,9 +159,10 @@ def resummation_cases(K: int, seed: int, order: int = RESUM_ORDER) -> list[Verif
     diff = first_diff_series(resummed, oracle)
     cases = [VerifyCase(K=K, L=None, n=order, passed=diff is None,
                         diff_term=diff, check="lemma1_oracle")]
-    for tab in (table, random_dense_table(seed)):
+    dense = random_dense_table(seed)
+    for tab, lemma in ((table, resummed), (dense, resum_lemma1(dense, K, order))):
         even, odd = resum_corollary1(tab, K, order)
-        split_diff = first_diff_series(even + odd, resum_lemma1(tab, K, order))
+        split_diff = first_diff_series(even + odd, lemma)
         cases.append(
             VerifyCase(K=K, L=None, n=order, passed=split_diff is None,
                        diff_term=split_diff, check=f"parity_split:{tab.name}")

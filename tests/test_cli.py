@@ -164,6 +164,17 @@ class TestSubcommands:
         assert proc.returncode == 0, proc.stderr
         assert set(json.loads(proc.stdout)) >= {"real", "imag"}
 
+    def test_closed_pipe_exits_quietly(self):
+        # more output than a pipe buffer holds, read by a consumer that stops early
+        env = dict(os.environ, PYTHONPATH=str(Path(lacunary.__file__).parents[1]))
+        with subprocess.Popen([sys.executable, "-m", "lacunary.cli", "emit", "egf",
+                               "--order", "60"], env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as proc:
+            proc.stdout.read(10)
+            proc.stdout.close()
+            assert proc.wait(timeout=30) == 141
+            assert proc.stderr.read() == b""
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["closed-form", "0", "0"]) == 2
         assert "error" in capsys.readouterr().err
@@ -210,13 +221,17 @@ class TestSubcommands:
         ["normal-order", "--q", "[]", "--v", '[{"xp":1,"yp":0,"num":"1","den":"1"},'
                                              '{"xp":1,"yp":0,"num":"2","den":"1"}]'],
         ["nieto-truax", "2", "0", "--lambda", "1/0"],
+        ["nieto-truax", "3", "1", "--x", "abc"],
         ["nieto-truax", "3", "1", "--terms", "-5"],
         ["nieto-truax", "3", "1", "--bits", "8193"],
         ["verify", "--kmin", "2", "--nmax", "-1"],
     ], ids=" ".join)
     def test_malformed_input(self, argv, capsys):
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if argv[-2] in ("--lambda", "--x"):
+            assert err.startswith(f"error: malformed {argv[-2]}: ")
 
     def test_unopenable_paths(self, capsys, tmp_path):
         missing = tmp_path / "missing"

@@ -18,6 +18,7 @@ from lacunary import (
     hermite_poly,
     nieto_truax,
     nieto_truax_partial_sum,
+    parity_split_branches,
     resum_corollary1,
     resum_lemma1,
     rk_series,
@@ -34,6 +35,20 @@ class TestPlanStructure:
             T = K // 2
             expected = T if K % 2 == 0 else 1 + 2 * T
             assert len(plan.branches) == expected, K
+        # one branch per y-power b, at the lambda-shift ceil(2b/K)
+        for K, shifts in ((5, [(0, 0), (1, 1), (1, 2), (2, 3), (2, 4)]),
+                          (6, [(0, 0), (1, 1), (1, 2)]),
+                          (7, [(0, 0), (1, 1), (1, 2), (1, 3), (2, 4), (2, 5), (2, 6)]),
+                          (8, [(0, 0), (1, 1), (1, 2), (1, 3)])):
+            plan = closed_form_plan(K)
+            assert [(br.lambda_shift, br.y_power) for br in plan.branches] == shifts, K
+
+    def test_branches_follow_even_families(self):
+        # branch j with y-power b pairs with the even family j at m-offset 2b
+        for K in range(2, 13):
+            even, _ = parity_split_branches(K)
+            assert [b.m_offset for b in even] == [
+                2 * br.y_power for br in closed_form_plan(K).branches], K
 
     def test_pfq_shapes(self):
         for K in range(2, 11):

@@ -10,6 +10,7 @@ from lacunary import (
     hermite_coeff_table,
     hermite_egf,
     hermite_poly,
+    lemma1_branches,
     parity_split_branches,
     random_dense_table,
     resum_corollary1,
@@ -97,6 +98,29 @@ class TestResummation:
             (0, 4, 0),
             (2, 4, 2),
         ]
+
+    def test_parity_split_pinned(self):
+        # even families in order, odd families as sets
+        pinned = {
+            1: ([(0, 2, 0)], [(0, 2, 1)]),
+            2: ([(0, 2, 0)], [(1, 2, 1)]),
+            3: ([(0, 6, 0), (1, 6, 2), (2, 6, 4)], [(0, 6, 3), (2, 6, 1), (1, 6, 5)]),
+            4: ([(0, 4, 0), (2, 4, 2)], [(3, 4, 1), (1, 4, 3)]),
+            5: ([(0, 10, 0), (3, 10, 2), (1, 10, 4), (4, 10, 6), (2, 10, 8)],
+                [(0, 10, 5), (4, 10, 1), (2, 10, 3), (3, 10, 7), (1, 10, 9)]),
+        }
+        for K, (even, odd) in pinned.items():
+            even_br, odd_br = parity_split_branches(K)
+            assert [(b.x_offset, b.m_step, b.m_offset) for b in even_br] == even, K
+            assert len(odd_br) == len(odd), K
+            assert {(b.x_offset, b.m_step, b.m_offset) for b in odd_br} == set(odd), K
+
+    def test_k_below_one_rejected(self):
+        table = hermite_coeff_table()
+        for build in (lambda: lemma1_branches(0), lambda: lemma1_branches(-1),
+                      lambda: resum_lemma1(table, 0, 3), lambda: parity_split_branches(0)):
+            with pytest.raises(ValueError):
+                build()
 
 
 class TestComposition:
