@@ -20,9 +20,7 @@ from .hermite import (
 from .hypergeom import (
     DomainError,
     PoleError,
-    gmfc_check,
     pfq_series,
-    pochhammer,
 )
 from .normal_ordering import (
     ConsistencyError,
@@ -30,7 +28,6 @@ from .normal_ordering import (
     SemiLinearOp,
     apply_exp_op,
     compose,
-    crofton_check,
     normal_order,
 )
 from .operators import (
@@ -77,10 +74,8 @@ __all__ = [
     "closed_form_HKL",
     "closed_form_plan",
     "compose",
-    "crofton_check",
     "dilate_bruteforce",
     "fact",
-    "gmfc_check",
     "hermite_coeff_table",
     "hermite_egf",
     "hermite_poly",
@@ -90,7 +85,6 @@ __all__ = [
     "normal_order",
     "parity_split_branches",
     "pfq_series",
-    "pochhammer",
     "random_dense_table",
     "resum_corollary1",
     "resum_lemma1",

@@ -32,35 +32,6 @@ class UsageError(ValueError):
     pass
 
 
-# kind -> (largest Hermite index, builder), both functions of (K, L, order)
-SERIES = {
-    "egf": (lambda K, L, n: n, lambda K, L, n: hermite_egf(n)),
-    "hk0": (lambda K, L, n: max(K, K * n), lambda K, L, n: closed_form_HKL(K, 0, n)),
-    "hkl": (lambda K, L, n: max(K, K * n) + L, closed_form_HKL),
-    "dilated": (lambda K, L, n: K * n,
-                lambda K, L, n: dilate_bruteforce(hermite_egf(K * n), K)),
-    "shifted": (lambda K, L, n: n + L, lambda K, L, n: shift(hermite_egf(n + L), L)),
-}
-
-
-def emit_series(kind: str, params: dict, order: int, fmt: str = "json") -> str:
-    """Serialize one of the stock series; deterministic for identical inputs."""
-    if fmt not in ("json", "text", "plan"):
-        raise UsageError(f"unknown format {fmt!r}")
-    if kind not in SERIES:
-        raise UsageError(f"unknown series kind {kind!r}")
-    K, L = params.get("K"), params.get("L", 0)
-    if fmt == "plan":
-        if kind not in ("hk0", "hkl"):
-            raise UsageError("plan format applies to closed forms only")
-        check_cap(K)
-        return json.dumps(closed_form_plan(K).to_json(), indent=2)
-    largest, build = SERIES[kind]
-    check_cap(largest(K, L, order))
-    series = build(K, L, order)
-    return str(series) if fmt == "text" else json.dumps(series.to_json(), indent=2)
-
-
 def _open(path: str, mode: str = "r"):
     """open(path, mode), with a path that cannot be opened reported as a usage error."""
     try:
@@ -77,6 +48,11 @@ def _parse(what: str, parse, text: str):
         raise UsageError(f"malformed {what}: {exc!r}") from None
 
 
+def _render(obj, fmt: str = "json") -> str:
+    """obj's text form for --format text, else its JSON, indented."""
+    return str(obj) if fmt == "text" else json.dumps(obj.to_json(), indent=2)
+
+
 def _write(out: str | None, text: str) -> int:
     """Print text to the file out, or to stdout if out is unset; exit status 0."""
     with _open(out, "w") if out else nullcontext(sys.stdout) as fh:
@@ -85,9 +61,12 @@ def _write(out: str | None, text: str) -> int:
 
 
 def _read_series(path: str) -> LambdaSeries:
+    """The series JSON at path ("-" is stdin), capped by its order."""
     with nullcontext(sys.stdin) if path == "-" else _open(path) as fh:
         text = fh.read()
-    return _parse("series JSON", lambda t: LambdaSeries.from_json(json.loads(t)), text)
+    series = _parse("series JSON", lambda t: LambdaSeries.from_json(json.loads(t)), text)
+    check_cap(series.order)
+    return series
 
 
 def run_verify(args) -> int:
@@ -118,21 +97,28 @@ def run_verify(args) -> int:
 
 def run_hermite(args) -> str:
     check_cap(args.n)
-    poly = hermite_poly(args.n)
-    return json.dumps(poly.to_json(), indent=2) if args.format == "json" else str(poly)
+    return _render(hermite_poly(args.n), args.format)
+
+
+def run_closed_form(args) -> str:
+    if args.format == "plan":  # the plan depends on K alone
+        check_cap(args.K)
+        return _render(closed_form_plan(args.K))
+    check_cap(max(args.K, args.K * args.order) + args.L)
+    return _render(closed_form_HKL(args.K, args.L, args.order), args.format)
 
 
 def run_emit(args) -> str:
-    return emit_series(args.kind, {"K": args.K, "L": args.L}, args.order, args.format)
+    check_cap(args.order)
+    return _render(hermite_egf(args.order), args.format)
 
 
 def run_dilate(args) -> str:
-    series = dilate_bruteforce(_read_series(args.infile), args.K)
-    return json.dumps(series.to_json(), indent=2)
+    return _render(dilate_bruteforce(_read_series(args.infile), args.K))
 
 
 def run_shift(args) -> str:
-    return json.dumps(shift(_read_series(args.infile), args.L).to_json(), indent=2)
+    return _render(shift(_read_series(args.infile), args.L))
 
 
 def run_normal_order(args) -> str:
@@ -186,8 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("n", type=int)
     h.add_argument("--format", choices=("json", "text"), default="text")
 
-    c = command("closed-form", run_emit, "K-tuple L-shifted closed form")
-    c.set_defaults(kind="hkl")
+    c = command("closed-form", run_closed_form, "K-tuple L-shifted closed form")
     c.add_argument("K", type=int)
     c.add_argument("L", type=int, nargs="?", default=0)
     c.add_argument("--order", type=int, default=4)
@@ -215,12 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
     nt.add_argument("--bits", type=int, default=256, help="precision, 64..8192")
     nt.add_argument("--terms", type=int, default=30)
 
-    e = command("emit", run_emit, "serialize a stock series")
-    e.add_argument("kind", choices=SERIES)
-    e.add_argument("--K", type=int, default=2)
-    e.add_argument("--L", type=int, default=0)
+    e = command("emit", run_emit, "serialize the Hermite EGF")
+    e.add_argument("kind", choices=("egf",))
     e.add_argument("--order", type=int, default=4)
-    e.add_argument("--format", choices=("json", "text", "plan"), default="json")
+    e.add_argument("--format", choices=("json", "text"), default="json")
 
     return p
 

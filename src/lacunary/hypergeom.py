@@ -1,15 +1,14 @@
-"""Pochhammer symbols, truncated pFq blocks, and the multiplication-formula check.
+"""Truncated pFq blocks in exact integer arithmetic, and the errors of their domain.
 
 A truncated pFq block is its first terms z^t prod (a)_t / (t! prod (b)_t),
-with every parameter and the argument z an integer (numerator, denominator)
-pair; the closed forms place the monomial lambda^(t*lp) y^(t*yp) that term t
-multiplies.  Gamma functions never appear: all identities are cast as exact
-rational Pochhammer / factorial identities.
+with (a)_t the rising factorial, and every parameter and the argument z an
+integer (numerator, denominator) pair; the closed forms place the monomial
+lambda^(t*lp) y^(t*yp) that term t multiplies.  Gamma functions never
+appear: each term follows from the one before through the term ratio.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -19,17 +18,6 @@ class PoleError(ZeroDivisionError):
 
 class DomainError(ValueError):
     """Arguments outside the validity domain of an identity."""
-
-
-def pochhammer(a, b: int) -> Fraction:
-    """Rising factorial (a)_b = a (a+1) ... (a+b-1), exact."""
-    if b < 0:
-        raise ValueError("pochhammer index must be non-negative")
-    a = Fraction(a)
-    result = Fraction(1)
-    for k in range(b):
-        result *= a + k
-    return result
 
 
 def pfq_series(upper, lower, z, count: int) -> list[tuple[int, int]]:
@@ -64,23 +52,3 @@ def pfq_series(upper, lower, z, count: int) -> list[tuple[int, int]]:
         terms.append((num, den))
     return terms
 
-
-def gmfc_check(n: int, s: int, x) -> bool:
-    """Exact rational form of the Gamma multiplication identity.
-
-    Verifies prod_{k=0}^{ns-1} (n*x + k) == n^(s*n) * prod_{j=0}^{n-1} (x + j/n)_s.
-    """
-    x = Fraction(x)
-    if n < 2:
-        raise DomainError("n must be >= 2")
-    if s < 0:
-        raise DomainError("s must be >= 0")
-    if x <= 0:
-        raise DomainError("x must be a positive rational")
-    lhs = Fraction(1)
-    for k in range(n * s):
-        lhs *= n * x + k
-    rhs = Fraction(n) ** (s * n)
-    for j in range(n):
-        rhs *= pochhammer(x + Fraction(j, n), s)
-    return lhs == rhs

@@ -9,9 +9,10 @@ function T and the prefactor g solve the formal initial value problem
 
 The IVP is solved degree by degree in mu -- polynomial right-hand sides
 always have a unique formal solution.  `exp_action` is the one loop that
-expands exp(mu*A) f = sum_k mu^k A^k f / k! directly.  `apply_exp_op`
-computes both that direct operator exponential and the (g, T) route and
-insists they agree, making the module a self-testing witness for the
+expands exp(mu*A) f = sum_k mu^k A^k f / k! directly; `apply_exp_op` and
+:func:`lacunary.closed_forms.rk_series` use it.  `apply_exp_op` computes
+both that direct operator exponential and the (g, T) route and insists
+they agree, making the module a self-testing witness for the
 normal-ordering theorem.
 """
 
@@ -48,24 +49,20 @@ class NormalOrderResult:
     order: int
 
 
-def _sum_x_powers(p: BivarPoly, start: LambdaSeries, step) -> LambdaSeries:
-    """sum_a step^a(start) * p_a(y), where p_a(y) multiplies x^a in p."""
+def compose(p: BivarPoly, series: LambdaSeries) -> LambdaSeries:
+    """Substitute the series for x in p (y passes through unchanged):
+    sum_a series^a * p_a(y), where p_a(y) multiplies x^a in p."""
     by_xpow: dict[int, dict] = {}
     for (a, b), c in p.num.items():
         by_xpow.setdefault(a, {})[(0, b)] = c
-    out = LambdaSeries(start.order)
-    power = start
+    out = LambdaSeries(series.order)
+    power = LambdaSeries.one(series.order)
     for a in range(max(by_xpow, default=0) + 1):
         if a > 0:
-            power = step(power)
+            power = power * series
         if a in by_xpow:
             out = out + power * BivarPoly.from_numerators(by_xpow[a], p.den)
     return out
-
-
-def compose(p: BivarPoly, series: LambdaSeries) -> LambdaSeries:
-    """Substitute the series for x in p (y passes through unchanged)."""
-    return _sum_x_powers(p, LambdaSeries.one(series.order), lambda s: s * series)
 
 
 def normal_order(op: SemiLinearOp, order: int) -> NormalOrderResult:
@@ -111,28 +108,3 @@ def apply_exp_op(op: SemiLinearOp, order: int, f: BivarPoly) -> LambdaSeries:
         )
     return direct
 
-
-def crofton_check(m: int, y_coef, f: BivarPoly, g: BivarPoly, order: int) -> bool:
-    """Check the operator identity
-    exp(c mu d^m) (f(x) g(x)) == f(x + m c mu d^(m-1)) exp(c mu d^m) g(x).
-
-    Both sides are expanded as truncated mu-series of polynomials by direct
-    operator application; c is the scalar multiplying the derivative operator.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    c = Fraction(y_coef)
-
-    def exp_deriv(h: BivarPoly) -> LambdaSeries:  # exp(c mu d^m) h
-        return LambdaSeries(order, exp_action(lambda u: u.diff_x(m) * c, h, order))
-
-    def x_op(series: LambdaSeries) -> LambdaSeries:
-        # (x + m*c*mu*d^(m-1)) acting on a mu-series of polynomials
-        out = series * BivarPoly.x()
-        deriv = LambdaSeries(
-            series.order, [p.diff_x(m - 1) * (m * c) for p in series.coeffs]
-        )
-        return out + deriv.shifted(1)
-
-    # left: exp(c mu d^m) (f g); right: f(x + m*c*mu*d^(m-1)) applied to exp(c mu d^m) g
-    return exp_deriv(f * g) == _sum_x_powers(f, exp_deriv(g), x_op)

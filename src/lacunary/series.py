@@ -37,10 +37,18 @@ def _json_int(value) -> int:
     raise TypeError(f"expected an integer or a decimal-integer string, got {value!r}")
 
 
-def _frac(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _exact(value):
+    """value itself if it is an int or a Fraction; floats and other numbers are refused."""
+    if isinstance(value, (int, Fraction)):
         return value
-    return Fraction(value)
+    raise TypeError(f"expected an int or a Fraction, got {value!r}")
+
+
+def _exponents(xp: int, yp: int) -> tuple[int, int]:
+    """The key (xp, yp) of x^xp * y^yp; negative exponents are refused."""
+    if xp < 0 or yp < 0:
+        raise ValueError(f"negative exponent in term ({xp},{yp})")
+    return xp, yp
 
 
 class BivarPoly:
@@ -55,11 +63,8 @@ class BivarPoly:
     __slots__ = ("num", "den")
 
     def __init__(self, terms=None):
-        """From a dict (x_power, y_power) -> Fraction or int; zero values are dropped."""
-        items = [(k, _frac(c)) for k, c in (terms or {}).items() if c != 0]
-        for (xp, yp), _ in items:
-            if xp < 0 or yp < 0:
-                raise ValueError(f"negative exponent in term ({xp},{yp})")
+        """From a dict (x_power, y_power) -> int or Fraction; zero values are dropped."""
+        items = [(_exponents(*k), c) for k, c in (terms or {}).items() if _exact(c)]
         # over the lcm of reduced denominators the numerators share no factor with it
         den = lcm(*(c.denominator for _, c in items))
         self.num = {k: c.numerator * (den // c.denominator) for k, c in items}
@@ -89,19 +94,17 @@ class BivarPoly:
 
     @classmethod
     def constant(cls, c) -> "BivarPoly":
-        return cls({(0, 0): _frac(c)})
+        return cls.monomial(c, 0, 0)
 
     @classmethod
     def monomial(cls, c, xp: int, yp: int) -> "BivarPoly":
-        return cls({(xp, yp): _frac(c)})
+        """c * x^xp * y^yp for an int or Fraction c."""
+        key = _exponents(xp, yp)
+        return cls.from_numerators({key: c.numerator} if _exact(c) else {}, c.denominator)
 
     @classmethod
     def x(cls) -> "BivarPoly":
-        return cls({(1, 0): Fraction(1)})
-
-    @classmethod
-    def y(cls) -> "BivarPoly":
-        return cls({(0, 1): Fraction(1)})
+        return cls.from_numerators({(1, 0): 1})
 
     @property
     def terms(self) -> dict:
@@ -150,10 +153,9 @@ class BivarPoly:
         if isinstance(other, (Fraction, int)):
             if not other:
                 return BivarPoly.zero()
-            c = _frac(other)
-            n = c.numerator
+            n = other.numerator
             return BivarPoly.from_numerators({k: v * n for k, v in self.num.items()},
-                                             self.den * c.denominator)
+                                             self.den * other.denominator)
         if not isinstance(other, BivarPoly):
             return NotImplemented
         num = {}
@@ -166,18 +168,6 @@ class BivarPoly:
                                          self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = BivarPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     def __eq__(self, other):
         if isinstance(other, (Fraction, int)):
@@ -213,7 +203,7 @@ class BivarPoly:
         return BivarPoly.from_numerators(num, self.den)
 
     def evaluate(self, xv, yv) -> Fraction:
-        xv, yv = _frac(xv), _frac(yv)
+        xv, yv = _exact(xv), _exact(yv)
         total = sum((v * xv**xp * yv**yp for (xp, yp), v in self.num.items()), Fraction(0))
         return total / self.den
 
@@ -334,17 +324,6 @@ class LambdaSeries:
             n, [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)]
         )
 
-    def __sub__(self, other):
-        if not isinstance(other, LambdaSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return LambdaSeries(
-            n, [self.coeffs[i] - other.coeffs[i] for i in range(n + 1)]
-        )
-
-    def __neg__(self):
-        return LambdaSeries(self.order, [-c for c in self.coeffs])
-
     def __mul__(self, other):
         if isinstance(other, (Fraction, int, BivarPoly)):
             return LambdaSeries(self.order, [c * other for c in self.coeffs])
@@ -364,24 +343,10 @@ class LambdaSeries:
 
     __rmul__ = __mul__
 
-    def shifted(self, k: int) -> "LambdaSeries":
-        """Multiply by lambda^k, keeping the truncation order."""
-        if k < 0:
-            raise ValueError("negative lambda shift")
-        if k == 0:
-            return self
-        coeffs = [BivarPoly.zero()] * (self.order + 1)
-        for n in range(self.order + 1 - k):
-            coeffs[n + k] = self.coeffs[n]
-        return LambdaSeries(self.order, coeffs)
-
     def __eq__(self, other):
         if not isinstance(other, LambdaSeries):
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
 
     # -- serialization ----------------------------------------------------
 

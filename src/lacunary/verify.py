@@ -27,7 +27,8 @@ RESUM_ORDER = 5  # lambda-order of each K's resummation checks, which build H_(5
 
 def check_cap(size: int) -> None:
     """Reject a run larger than LACUNAE_CAP: its size is the largest Hermite index it
-    builds, or for normal-order the order times the x-degree of q and v."""
+    builds, for normal-order the order times the x-degree of q and v, and for
+    dilate and shift the order of the series they read."""
     raw = os.environ.get("LACUNAE_CAP", DEFAULT_CAP)
     try:
         cap = int(raw)

@@ -1,0 +1,72 @@
+"""Classical identities that the tests check the package against.
+
+None of them is a construction of the lacunary generating functions: the
+Pochhammer symbol, the Gauss multiplication formula in rational form, and
+the Crofton operator identity.
+"""
+
+from fractions import Fraction
+
+from lacunary import BivarPoly, DomainError, LambdaSeries
+from lacunary.normal_ordering import exp_action
+
+
+def pochhammer(a, b: int) -> Fraction:
+    """Rising factorial (a)_b = a (a+1) ... (a+b-1), exact."""
+    if b < 0:
+        raise ValueError("pochhammer index must be non-negative")
+    a = Fraction(a)
+    result = Fraction(1)
+    for k in range(b):
+        result *= a + k
+    return result
+
+
+def gmfc_check(n: int, s: int, x) -> bool:
+    """Exact rational form of the Gamma multiplication identity.
+
+    Verifies prod_{k=0}^{ns-1} (n*x + k) == n^(s*n) * prod_{j=0}^{n-1} (x + j/n)_s.
+    """
+    x = Fraction(x)
+    if n < 2:
+        raise DomainError("n must be >= 2")
+    if s < 0:
+        raise DomainError("s must be >= 0")
+    if x <= 0:
+        raise DomainError("x must be a positive rational")
+    lhs = Fraction(1)
+    for k in range(n * s):
+        lhs *= n * x + k
+    rhs = Fraction(n) ** (s * n)
+    for j in range(n):
+        rhs *= pochhammer(x + Fraction(j, n), s)
+    return lhs == rhs
+
+
+def crofton_check(m: int, y_coef, f: BivarPoly, g: BivarPoly, order: int) -> bool:
+    """Check the operator identity
+    exp(c mu d^m) (f(x) g(x)) == f(x + m c mu d^(m-1)) exp(c mu d^m) g(x).
+
+    Both sides are expanded as truncated mu-series of polynomials by direct
+    operator application; c is the scalar multiplying the derivative operator.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    c = Fraction(y_coef)
+
+    def exp_deriv(h: BivarPoly) -> LambdaSeries:  # exp(c mu d^m) h
+        return LambdaSeries(order, exp_action(lambda u: u.diff_x(m) * c, h, order))
+
+    def x_op(series: LambdaSeries) -> LambdaSeries:
+        # (x + m*c*mu*d^(m-1)) acting on a mu-series of polynomials
+        mu_deriv = [BivarPoly.zero()] + [p.diff_x(m - 1) * (m * c) for p in series.coeffs[:-1]]
+        return series * BivarPoly.x() + LambdaSeries(series.order, mu_deriv)
+
+    # right: sum_a x_op^a (exp(c mu d^m) g) * f_a(y), where f_a(y) multiplies x^a in f
+    right, power = LambdaSeries(order), exp_deriv(g)
+    for a in range(f.degree_x() + 1):
+        if a:
+            power = x_op(power)
+        f_a = BivarPoly({(0, yp): v for (xp, yp), v in f.terms.items() if xp == a})
+        right = right + power * f_a
+    return exp_deriv(f * g) == right

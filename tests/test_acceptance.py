@@ -10,16 +10,15 @@ import time
 from fractions import Fraction
 
 import mpmath
+from identities import crofton_check, gmfc_check
 
 from lacunary import (
     BivarPoly,
     SemiLinearOp,
     apply_exp_op,
     closed_form_HKL,
-    crofton_check,
     dilate_bruteforce,
     fact,
-    gmfc_check,
     hermite_coeff_table,
     hermite_egf,
     hermite_poly,

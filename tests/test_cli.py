@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import lacunary
-from lacunary.cli import UsageError, emit_series, main
+from lacunary.cli import main
 from lacunary.verify import VerifyConfig, run_verification
 
 
@@ -23,39 +23,55 @@ CAPPED = [
     ["normal-order", "--q", '[{"xp":100000000,"yp":0,"num":"1","den":"1"}]', "--v", "[]"],
     ["normal-order", "--q", "[]", "--v", '[{"xp":100000000,"yp":0,"num":"1","den":"1"}]'],
     ["nieto-truax", "5", "0", "--terms", "400"],
+    ["dilate", "1"],
+    ["shift", "0"],
 ]
+# stdin of every capped command: an all-zero series, which dilate and shift read
+ZERO_SERIES = json.dumps({"order": 10000, "coeffs": [[]] * 10001})
+
+
+def stdout_of(capsys, *argv: str) -> str:
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
 
 
 class TestEmitSeries:
-    def test_egf_text(self):
-        text = emit_series("egf", {}, 2, "text")
-        assert text == "1 + λ·1 * x + λ^2·(1/2 * x^2 + 1 * y)"
+    def test_egf_text(self, capsys):
+        text = stdout_of(capsys, "emit", "egf", "--order", "2", "--format", "text")
+        assert text == "1 + λ·1 * x + λ^2·(1/2 * x^2 + 1 * y)\n"
 
-    def test_hkl_order_zero(self):
-        assert emit_series("hkl", {"K": 3, "L": 0}, 0, "text") == "1"
+    def test_hkl_order_zero(self, capsys):
+        out = json.loads(stdout_of(capsys, "closed-form", "3", "--order", "0", "--format", "json"))
+        assert out == {"order": 0, "coeffs": [[{"xp": 0, "yp": 0, "num": "1", "den": "1"}]]}
 
-    def test_determinism(self):
-        a = emit_series("hk0", {"K": 4}, 3, "json")
-        b = emit_series("hk0", {"K": 4}, 3, "json")
-        assert a == b
+    def test_determinism(self, capsys):
+        argv = ("closed-form", "4", "--order", "3", "--format", "json")
+        assert stdout_of(capsys, *argv) == stdout_of(capsys, *argv)
 
-    def test_plan_format(self):
-        plan = json.loads(emit_series("hk0", {"K": 4}, 0, "plan"))
+    def test_plan_format(self, capsys):
+        plan = json.loads(stdout_of(capsys, "closed-form", "4", "--format", "plan"))
         assert plan["K"] == 4 and len(plan["branches"]) == 2
 
-    def test_plan_regenerates_k1_to_10_structures(self):
+    def test_plan_regenerates_k1_to_10_structures(self, capsys):
         # explicit closed forms exist for every K; plan output covers K=2..10
         for K in range(2, 11):
-            plan = json.loads(emit_series("hk0", {"K": K}, 0, "plan"))
+            plan = json.loads(stdout_of(capsys, "closed-form", str(K), "--format", "plan"))
             assert plan["branches"], K
 
-    def test_bad_kind(self):
-        with pytest.raises(UsageError):
-            emit_series("nope", {}, 2, "text")
+    def test_bad_kind(self, capsys):
+        # emit serializes the EGF only; closed forms are the closed-form command's
+        for argv in (["emit", "nope"], ["emit", "hk0"], ["emit", "egf", "--K", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            assert capsys.readouterr().err, argv
 
-    def test_plan_rejected_for_egf(self):
-        with pytest.raises(UsageError):
-            emit_series("egf", {}, 2, "plan")
+    def test_plan_rejected_for_egf(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["emit", "egf", "--format", "plan"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--format" in err and "plan" in err
 
     def test_plan_builds_no_series(self, capsys):
         # the plan depends on K alone: an order past the cap changes nothing
@@ -203,7 +219,7 @@ class TestSubcommands:
         env = {k: v for k, v in os.environ.items() if k != "LACUNAE_CAP"}
         env["PYTHONPATH"] = str(Path(lacunary.__file__).parents[1])
         proc = subprocess.run([sys.executable, "-m", "lacunary.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=10)
+                              input=ZERO_SERIES, capture_output=True, text=True, timeout=10)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and "LACUNAE_CAP" in proc.stderr
 

@@ -6,13 +6,12 @@ from math import factorial
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from identities import gmfc_check, pochhammer
 
 from lacunary import (
     DomainError,
     PoleError,
-    gmfc_check,
     pfq_series,
-    pochhammer,
 )
 
 params = st.fractions(min_value=-4, max_value=4, max_denominator=6)

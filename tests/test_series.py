@@ -70,6 +70,13 @@ class TestBivarPoly:
         assert 0 in {BivarPoly.zero()}
         assert len({BivarPoly.constant(1), 1, Fraction(1)}) == 1
 
+    def test_floats_refused(self):
+        # a float is not exact: the constructors refuse it, as the ring operators do
+        for build in (lambda: BivarPoly({(0, 0): 0.1}), lambda: BivarPoly.monomial(0.1, 1, 0),
+                      lambda: LambdaSeries(1, [0.1, 1])):
+            with pytest.raises(TypeError):
+                build()
+
     @given(small_polys(), small_polys(), rationals, rationals)
     @settings(max_examples=50)
     def test_evaluation_is_a_homomorphism(self, a, b, xv, yv):
@@ -204,7 +211,7 @@ class TestSeriesAdd:
 
     def test_additive_inverse(self):
         a = exp_series(1, 2)
-        assert (a + -a).is_zero()
+        assert a + a * -1 == LambdaSeries(a.order)
 
     def test_disjoint_supports(self):
         a = LambdaSeries(3, [0, 1, 0, 0])
@@ -266,13 +273,6 @@ class TestDiffLambda:
         assert d.coeffs[0] == BivarPoly.x()
 
 
-def test_shifted():
-    a = LambdaSeries(3, [1, 2, 0, 0])
-    assert a.shifted(2) == LambdaSeries(3, [0, 0, 1, 2])
-    with pytest.raises(ValueError):
-        a.shifted(-1)
-
-
 def test_series_json_roundtrip():
     from lacunary import hermite_egf
 
@@ -292,9 +292,9 @@ def power_sum_exp(a: LambdaSeries) -> LambdaSeries:
 class TestSeriesExp:
     @pytest.mark.parametrize("coeffs", [
         [0, 1, 0, 0, 0, 0],                                   # exp(lambda)
-        [0, BivarPoly.x(), BivarPoly.y(), 0, 0, 0, 0, 0],     # the Hermite EGF
+        [0, BivarPoly.x(), BivarPoly.monomial(1, 0, 1), 0, 0, 0, 0, 0],     # the Hermite EGF
         [0, 0, 0, Fraction(-2, 3), 0, 0, 0],                  # nilpotent: a^3 = 0
-        [0, BivarPoly.x() + 2, 0, BivarPoly.y() * Fraction(1, 5), BivarPoly.x(), 7],
+        [0, BivarPoly.x() + 2, 0, BivarPoly.monomial(Fraction(1, 5), 0, 1), BivarPoly.x(), 7],
         [0],
     ])
     def test_matches_power_sum(self, coeffs):
