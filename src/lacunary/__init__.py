@@ -46,9 +46,7 @@ from .series import (
     series_exp,
 )
 from .verify import (
-    VerifyCase,
     VerifyConfig,
-    VerifyReport,
     random_dense_table,
     run_verification,
 )
@@ -67,9 +65,7 @@ __all__ = [
     "RkSeries",
     "SemiLinearOp",
     "TruncationUnderflowError",
-    "VerifyCase",
     "VerifyConfig",
-    "VerifyReport",
     "apply_exp_op",
     "closed_form_HKL",
     "closed_form_plan",

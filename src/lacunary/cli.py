@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -26,6 +27,9 @@ from .normal_ordering import SemiLinearOp, normal_order
 from .operators import dilate_bruteforce, shift
 from .series import BivarPoly, LambdaSeries
 from .verify import VerifyConfig, check_cap, run_verification
+
+
+INT_STR_DIGITS = 4300  # Python's default limit on int-to-str conversion
 
 
 class UsageError(ValueError):
@@ -77,22 +81,25 @@ def run_verify(args) -> int:
             flags = ", ".join("--" + f for f in given)
             raise UsageError(f"the default sweep takes no {flags}; give --kmin or --kmax")
         # the default sweep: K = 3 and 4 to n = 16, K = 5 to n = 15, all at L = 0
-        cfg = VerifyConfig(k_min=3, k_max=5, l_max=0, n_max={3: 16, 4: 16, 5: 15})
+        cfg = VerifyConfig({3: 16, 4: 16, 5: 15})
     else:
         k_min = 2 if args.kmin is None else args.kmin
         k_max = k_min if args.kmax is None else args.kmax
-        cfg = VerifyConfig(k_min=k_min, k_max=k_max, l_min=args.lmin or 0,
-                           l_max=args.lmax or 0, n_max=6 if args.nmax is None else args.nmax,
-                           seed=args.seed or 0)
+        n_max = 6 if args.nmax is None else args.nmax
+        # clipped to 0..13, so a huge range is never built; an end outside 1..12 keeps
+        # 0 or 13 (or no K at all) in the sweep, which VerifyConfig refuses
+        ks = range(max(k_min, 0), min(k_max, 13) + 1)
+        cfg = VerifyConfig({K: n_max for K in ks}, l_min=args.lmin or 0,
+                           l_max=args.lmax or 0, seed=args.seed or 0)
     report = run_verification(cfg)
     if args.out:
         with _open(args.out, "w") as fh:
-            json.dump(report.to_json(), fh, indent=2)
-    for case in report.cases:
-        if not case.passed:
-            print(f"FAIL {case.to_json()}")
-    print(f"{report.passed} passed, {report.failed} failed ({report.elapsed_ms:.0f} ms)")
-    return 0 if report.failed == 0 else 1
+            json.dump(report, fh, indent=2)
+    for case in report["cases"]:
+        if not case["pass"]:
+            print(f"FAIL {case}")
+    print(f"{report['passed']} passed, {report['failed']} failed ({report['elapsed_ms']:.0f} ms)")
+    return 0 if report["failed"] == 0 else 1
 
 
 def run_hermite(args) -> str:
@@ -130,12 +137,40 @@ def run_normal_order(args) -> str:
                        "g": result.g_series.to_json()}, indent=2)
 
 
+def _digits(n: int) -> int:
+    """Decimal digits of |n|, without the int-to-str conversion that refuses long ones."""
+    n = abs(n) or 1
+    d = n.bit_length() * 30103 // 100000 + 1  # the digit count, or one more
+    return d - (10 ** (d - 1) > n)
+
+
+def _exact_inputs(args, top: int) -> list[Fraction]:
+    """--lambda, --x and --y as exact numbers, refused before any arithmetic unless
+    max(top, 1) * (s + 1 + digits(top)) <= INT_STR_DIGITS, s their digits in numerators
+    and denominators: that bounds the partial sum to H_top, which is printed in full."""
+    values, widths = [], {}
+    for flag, text in (("--lambda", args.lam), ("--x", args.x), ("--y", args.y)):
+        # Fraction expands an exponent first: one of five digits or more is too long unbuilt
+        if re.search(r"[eE][-+]?0*[1-9]\d{4}", text.replace("_", "")):
+            widths[flag] = INT_STR_DIGITS + 1
+            continue
+        v = _parse(flag, Fraction, text)
+        values.append(v)
+        widths[flag] = _digits(v.numerator) + _digits(v.denominator)
+    s = sum(widths.values())
+    if max(top, 1) * (s + 1 + _digits(top)) > INT_STR_DIGITS:
+        widest = max(widths, key=widths.get)
+        raise UsageError(f"{widest} is too long: the exact partial sum to H_{top} could pass "
+                         f"{INT_STR_DIGITS} digits; shorten {widest} or lower --terms")
+    return values
+
+
 def run_nieto_truax(args) -> str:
-    check_cap(args.K * args.terms + args.L)  # the exact partial sum reaches H_(K*terms+L)
+    top = args.K * args.terms + args.L  # the exact partial sum reaches H_top
+    check_cap(top)
+    lam, x, y = _exact_inputs(args, top)
     import mpmath
 
-    lam, x, y = (_parse(flag, Fraction, text) for flag, text in
-                 (("--lambda", args.lam), ("--x", args.x), ("--y", args.y)))
     value = nieto_truax(args.K, args.L, lam, x, y, precision_bits=args.bits)
     oracle = nieto_truax_partial_sum(args.K, args.L, lam, x, y, args.terms)
     return json.dumps({"real": mpmath.nstr(value.real, 40),

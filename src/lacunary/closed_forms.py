@@ -1,6 +1,6 @@
 """Closed-form lacunary generating functions of the two-variable Hermite polynomials.
 
-For K >= 2 the K-tuple generating function is a finite list of branches,
+For K >= 1 the K-tuple generating function is a finite list of branches,
 each a lambda-shifted sum over s of
 
     prefactor(s; x, y) * pFq(upper(s); lower; monomial argument),
@@ -26,10 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .hermite import fact, hermite_egf, hermite_poly
+from .hermite import fact, hermite_poly
 from .hypergeom import DomainError, pfq_series
 from .normal_ordering import SemiLinearOp, exp_action
-from .operators import shift
 from .series import BivarPoly, LambdaSeries
 
 
@@ -82,7 +81,7 @@ class ClosedFormPlan:
 
 
 def closed_form_plan(K: int) -> ClosedFormPlan:
-    """Branch structure of the K-tuple closed form (K >= 2).
+    """Branch structure of the K-tuple closed form (K >= 1).
 
     With P = K/2 for even K and P = K for odd K, every parameter is over
     den = 2P.  Even K has a (K-1)F(P-1) block with argument lambda*(2Ky)^P and
@@ -91,10 +90,10 @@ def closed_form_plan(K: int) -> ClosedFormPlan:
     branch with y-power b has the lower parameters m/P, m = b+1 ... b+P
     except P.  There is one branch per y-power b = 0 ... P-1, with the
     lambda-shift d = ceil(2b/K): the least d that makes the x-power K*d - 2b
-    non-negative.
+    non-negative.  K = 1 has the one branch exp(lambda*x) 0F0(;;lambda^2*y).
     """
-    if K < 2:
-        raise ValueError("closed-form plan requires K >= 2")
+    if K < 1:
+        raise ValueError("K must be >= 1")
     P = K // 2 if K % 2 == 0 else K
     arg = ((2 * K) ** P, 1, P) if K % 2 == 0 else ((4 * K) ** K // 4, 2, K)
     consts = [j for j in range(1, 2 * P) if j != K]
@@ -165,16 +164,9 @@ def _evaluate_plan(plan: ClosedFormPlan, L: int, order: int) -> LambdaSeries:
 
 
 def closed_form_HKL(K: int, L: int, order: int) -> LambdaSeries:
-    """K-tuple L-shifted closed form: n! [lambda^n] = H_(nK+L)(x, y).
-
-    K=1 is the L-shifted plain EGF and is delegated to :func:`hermite_egf`.
-    """
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    """K-tuple L-shifted closed form: n! [lambda^n] = H_(nK+L)(x, y)."""
     if L < 0:
         raise ValueError("L must be >= 0")
-    if K == 1:
-        return shift(hermite_egf(order + L), L)
     return _evaluate_plan(closed_form_plan(K), L, order)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .closed_forms import closed_form_HKL
@@ -40,67 +40,28 @@ def check_cap(size: int) -> None:
 
 @dataclass
 class VerifyConfig:
-    k_min: int = 2
-    k_max: int = 6
+    """A sweep: n_max maps each K of the sweep to its order n."""
+
+    n_max: dict[int, int]
     l_min: int = 0
-    l_max: int = 3
-    n_max: int | dict[int, int] = 6
+    l_max: int = 0
     seed: int = 0
 
     def __post_init__(self):
-        if not (1 <= self.k_min <= self.k_max <= 12):
+        if not self.n_max or not all(1 <= K <= 12 for K in self.n_max):
             raise ValueError("K range must lie within [1, 12]")
         if self.l_min < 0 or self.l_min > self.l_max:
             raise ValueError("invalid L range")
-        ks = range(self.k_min, self.k_max + 1)
-        if any(self.n_for(K) < 0 for K in ks):
+        if any(n < 0 for n in self.n_max.values()):
             raise ValueError(f"n_max must be >= 0, got {self.n_max!r}")
-        check_cap(max(max(self.n_for(K) * K + self.l_max, RESUM_ORDER * K) for K in ks))
-
-    def n_for(self, K: int) -> int:
-        return self.n_max[K] if isinstance(self.n_max, dict) else self.n_max
+        check_cap(max(max(n * K + self.l_max, RESUM_ORDER * K) for K, n in self.n_max.items()))
 
 
-@dataclass
-class VerifyCase:
-    K: int
-    L: int | None
-    n: int | None
-    passed: bool
-    diff_term: dict | None = None
-    check: str = "closed_form"
-
-    def to_json(self) -> dict:
-        return {
-            "K": self.K,
-            "L": self.L,
-            "n": self.n,
-            "pass": self.passed,
-            "diff_term": self.diff_term,
-            "check": self.check,
-        }
-
-
-@dataclass
-class VerifyReport:
-    cases: list[VerifyCase] = field(default_factory=list)
-    elapsed_ms: float = 0.0
-
-    @property
-    def passed(self) -> int:
-        return sum(1 for c in self.cases if c.passed)
-
-    @property
-    def failed(self) -> int:
-        return sum(1 for c in self.cases if not c.passed)
-
-    def to_json(self) -> dict:
-        return {
-            "cases": [c.to_json() for c in self.cases],
-            "passed": self.passed,
-            "failed": self.failed,
-            "elapsed_ms": self.elapsed_ms,
-        }
+def _case(K: int, L: int | None, n: int, diff_term: dict | None,
+          check: str = "closed_form") -> dict:
+    """One report case; it passes iff there is no differing term."""
+    return {"K": K, "L": L, "n": n, "pass": diff_term is None, "diff_term": diff_term,
+            "check": check}
 
 
 def first_diff_poly(diff: BivarPoly, lam_power: int) -> dict | None:
@@ -139,45 +100,39 @@ def random_dense_table(seed: int) -> CoeffTable:
     return CoeffTable(generator=gen, name=f"dense-seed{seed}")
 
 
-def coefficient_cases(K: int, L: int, n_max: int) -> list[VerifyCase]:
+def coefficient_cases(K: int, L: int, n_max: int) -> list[dict]:
     """n! [lambda^n] of the closed form against hermite_poly(nK+L), n = 0..n_max."""
     series = closed_form_HKL(K, L, n_max)
     cases = []
     for n in range(n_max + 1):
         diff = series.coeffs[n] * Fraction(fact(n)) - hermite_poly(n * K + L)
-        cases.append(
-            VerifyCase(K=K, L=L, n=n, passed=diff.is_zero(),
-                       diff_term=first_diff_poly(diff, n))
-        )
+        cases.append(_case(K, L, n, first_diff_poly(diff, n)))
     return cases
 
 
-def resummation_cases(K: int, seed: int, order: int = RESUM_ORDER) -> list[VerifyCase]:
+def resummation_cases(K: int, seed: int, order: int = RESUM_ORDER) -> list[dict]:
     """Lemma-vs-brute-force and parity-split checks for a single K."""
     table = hermite_coeff_table()
     resummed = resum_lemma1(table, K, order)
     oracle = dilate_bruteforce(hermite_egf(K * order), K)
-    diff = first_diff_series(resummed, oracle)
-    cases = [VerifyCase(K=K, L=None, n=order, passed=diff is None,
-                        diff_term=diff, check="lemma1_oracle")]
+    cases = [_case(K, None, order, first_diff_series(resummed, oracle), "lemma1_oracle")]
     dense = random_dense_table(seed)
     for tab, lemma in ((table, resummed), (dense, resum_lemma1(dense, K, order))):
         even, odd = resum_corollary1(tab, K, order)
-        split_diff = first_diff_series(even + odd, lemma)
-        cases.append(
-            VerifyCase(K=K, L=None, n=order, passed=split_diff is None,
-                       diff_term=split_diff, check=f"parity_split:{tab.name}")
-        )
+        cases.append(_case(K, None, order, first_diff_series(even + odd, lemma),
+                           f"parity_split:{tab.name}"))
     return cases
 
 
-def run_verification(cfg: VerifyConfig) -> VerifyReport:
-    """The full sweep over the configured (K, L, n) ranges."""
+def run_verification(cfg: VerifyConfig) -> dict:
+    """The full sweep over the configured (K, L, n) ranges, as the report
+    {"cases", "passed", "failed", "elapsed_ms"}."""
     start = time.perf_counter()
-    report = VerifyReport()
-    for K in range(cfg.k_min, cfg.k_max + 1):
+    cases = []
+    for K, n_max in cfg.n_max.items():
         for L in range(cfg.l_min, cfg.l_max + 1):
-            report.cases.extend(coefficient_cases(K, L, cfg.n_for(K)))
-        report.cases.extend(resummation_cases(K, cfg.seed))
-    report.elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return report
+            cases.extend(coefficient_cases(K, L, n_max))
+        cases.extend(resummation_cases(K, cfg.seed))
+    passed = sum(c["pass"] for c in cases)
+    return {"cases": cases, "passed": passed, "failed": len(cases) - passed,
+            "elapsed_ms": (time.perf_counter() - start) * 1000.0}

@@ -53,8 +53,8 @@ class TestEmitSeries:
         assert plan["K"] == 4 and len(plan["branches"]) == 2
 
     def test_plan_regenerates_k1_to_10_structures(self, capsys):
-        # explicit closed forms exist for every K; plan output covers K=2..10
-        for K in range(2, 11):
+        # explicit closed forms exist for every K; plan output covers K=1..10
+        for K in range(1, 11):
             plan = json.loads(stdout_of(capsys, "closed-form", str(K), "--format", "plan"))
             assert plan["branches"], K
 
@@ -91,16 +91,33 @@ class TestVerify:
 
     def test_config_cap(self):
         with pytest.raises(ValueError):
-            VerifyConfig(k_min=2, k_max=12, n_max=20)
+            VerifyConfig({K: 20 for K in range(2, 13)})
 
     def test_k_range_bounds(self):
-        with pytest.raises(ValueError):
-            VerifyConfig(k_min=0, k_max=3)
+        # the dict is the whole sweep: an empty one, or one K outside 1..12, is refused
+        for n_max in ({K: 6 for K in range(0, 4)}, {}, {3: 2, 13: 1}):
+            with pytest.raises(ValueError, match=r"K range must lie within \[1, 12\]"):
+                VerifyConfig(n_max)
+
+    def test_huge_k_range_is_refused_unbuilt(self, capsys, monkeypatch):
+        # the CLI hands VerifyConfig at most the Ks 0..13, whatever the range
+        sizes = []
+
+        def config(n_max, **kw):
+            sizes.append(len(n_max))
+            return VerifyConfig(n_max, **kw)
+
+        monkeypatch.setattr("lacunary.cli.VerifyConfig", config)
+        for kmin, kmax in (("-1000000000000", "1000000000000"), ("5", "1000000000000"),
+                           ("-1000000000000", "-5"), ("4", "3")):
+            assert main(["verify", "--kmin", kmin, "--kmax", kmax]) == 2
+            assert capsys.readouterr().err == "error: K range must lie within [1, 12]\n"
+        assert sizes == [14, 9, 0, 0]
 
     def test_negative_n_max_names_the_field(self):
-        for n_max in (-1, {2: 3, 3: -1}):
+        for n_max in ({2: -1, 3: -1}, {2: 3, 3: -1}):
             with pytest.raises(ValueError, match="n_max"):
-                VerifyConfig(k_min=2, k_max=3, n_max=n_max)
+                VerifyConfig(n_max)
 
     def test_appendix_sweep_passes(self, capsys, monkeypatch):
         # the default sweep reaches H_75 (K = 5, n = 15), so a cap of 75 admits it
@@ -112,13 +129,11 @@ class TestVerify:
         # n_max * K + l_max = 12, but the resummation checks build H_60
         monkeypatch.setenv("LACUNAE_CAP", "20")
         with pytest.raises(ValueError, match="LACUNAE_CAP"):
-            VerifyConfig(k_min=12, k_max=12, l_max=0, n_max=1)
+            VerifyConfig({12: 1})
 
     def test_determinism_modulo_timing(self):
-        cfg = VerifyConfig(k_min=2, k_max=2, n_max=2, seed=5)
-        a, b = run_verification(cfg), run_verification(cfg)
-        strip = lambda r: [c.to_json() for c in r.cases]
-        assert strip(a) == strip(b)
+        cfg = VerifyConfig({2: 2}, seed=5)
+        assert run_verification(cfg)["cases"] == run_verification(cfg)["cases"]
 
     @pytest.mark.parametrize("flag", ["--lmin", "--lmax", "--nmax", "--seed"])
     def test_range_flags_need_a_k_range(self, flag, capsys):
@@ -131,9 +146,26 @@ class TestVerify:
         # with a K range the flags keep their defaults: L = 0, n up to 6, seed 0
         out = tmp_path / "report.json"
         assert main(["verify", "--kmax", "3", "--out", str(out)]) == 0
-        cfg = VerifyConfig(k_min=2, k_max=3, l_min=0, l_max=0, n_max=6, seed=0)
-        expected = [c.to_json() for c in run_verification(cfg).cases]
+        cfg = VerifyConfig({2: 6, 3: 6}, l_min=0, l_max=0, seed=0)
+        expected = run_verification(cfg)["cases"]
         assert json.loads(out.read_text())["cases"] == expected
+
+    def test_failing_case_is_reported(self, capsys, monkeypatch, tmp_path):
+        # a wrong oracle H_4: the one case that reads it fails, with its first differing term
+        orig = lacunary.verify.hermite_poly
+        monkeypatch.setattr("lacunary.verify.hermite_poly",
+                            lambda n: orig(n) + (1 if n == 4 else 0))
+        out = tmp_path / "report.json"
+        assert main(["verify", "--kmin", "2", "--nmax", "2", "--out", str(out)]) == 1
+        diff_term = {"lp": 2, "xp": 0, "yp": 0, "num": "-1", "den": "1"}
+        fail, summary, rest = capsys.readouterr().out.split("\n")
+        assert fail == ("FAIL {'K': 2, 'L': 0, 'n': 2, 'pass': False, 'diff_term': "
+                        f"{diff_term}, 'check': 'closed_form'}}")
+        assert summary.startswith("5 passed, 1 failed (") and summary.endswith(" ms)")
+        assert rest == ""
+        data = json.loads(out.read_text())
+        assert data["failed"] == 1
+        assert [c["diff_term"] for c in data["cases"] if not c["pass"]] == [diff_term]
 
     def test_report_written(self, tmp_path):
         out = tmp_path / "report.json"
@@ -222,6 +254,28 @@ class TestSubcommands:
                               input=ZERO_SERIES, capture_output=True, text=True, timeout=10)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and "LACUNAE_CAP" in proc.stderr
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--x", "1e100000"), ("--x", "1e2400"), ("--x", "1e100"), ("--lambda", "1e400"),
+        ("--lambda", "1e-400"), ("--y", "1e100000000"),
+    ])
+    def test_nieto_truax_bounds_exact_inputs(self, flag, value):
+        # without the bound, --x 1e100000 runs without end and the other digit counts end
+        # in Python's int-to-str limit when the exact partial sum is printed; without the
+        # exponent check, Fraction spends minutes expanding 1e100000000
+        env = dict(os.environ, PYTHONPATH=str(Path(lacunary.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "lacunary.cli", "nieto-truax", "3", "1",
+                               flag, value], env=env, capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {flag} is too long"), proc.stderr
+
+    def test_nieto_truax_digit_bound_edge(self, capsys):
+        # H_91 at the defaults: 91 * (s + 1 + 2) <= 4300 admits s = 44 input digits, of
+        # which --lambda 1/10 and --y 1/2 hold 5; so --x may have 38 digits and 1 below
+        assert main(["nieto-truax", "3", "1", "--x", "1e37"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["partial_sum"]) <= 4300
+        assert main(["nieto-truax", "3", "1", "--x", "1e38"]) == 2
+        assert capsys.readouterr().err.startswith("error: --x is too long")
 
     def test_default_sweep_is_capped(self, capsys, monkeypatch):
         # one below the H_75 that the default sweep reaches: rejected before it runs

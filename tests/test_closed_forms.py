@@ -1,6 +1,8 @@
 """Closed-form generating functions vs the brute-force Hermite oracle."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -24,6 +26,7 @@ from lacunary import (
     rk_series,
     shift,
 )
+from lacunary import closed_forms
 from lacunary.hypergeom import DomainError
 
 
@@ -99,6 +102,18 @@ class TestPlanStructure:
              "lower": ["3/2"], "arg": arg4},
         ]}
 
+    def test_k1_plan_pinned(self):
+        # exp(lambda*x) 0F0(;;lambda^2*y): one branch with no pFq parameters
+        assert closed_form_plan(1).to_json() == {"K": 1, "branches": [
+            {"lambda_shift": 0, "y_power": 0, "upper": [], "lower": [],
+             "arg": {"coef": "1/1", "lp": 2, "xp": 0, "yp": 1}},
+        ]}
+
+    def test_plan_refuses_k_below_one(self):
+        for K in (0, -3):
+            with pytest.raises(ValueError, match="K must be >= 1"):
+                closed_form_plan(K)
+
     def test_k5_argument_monomial(self):
         plan = closed_form_plan(5)
         br = plan.branches[0]
@@ -113,16 +128,25 @@ class TestPlanStructure:
         assert [Fraction(b, br.den) for b in br.lower] == [Fraction(2, 3), Fraction(4, 3)]
 
     def test_no_pole_in_lower_lists(self):
-        for K in range(2, 11):
+        for K in range(1, 11):
             for br in closed_form_plan(K).branches:
                 assert all(b > 0 for b in br.lower), K
+
+
+def test_closed_forms_imports_nothing_from_operators():
+    # the closed form stays independent of the brute force and the resummation it is
+    # checked against
+    tree = ast.parse(Path(closed_forms.__file__).read_text())
+    sources = [getattr(node, "module", None) or alias.name for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    assert not [m for m in sources if m.split(".")[-1] == "operators"], sources
 
 
 class TestClosedFormHK0:
     def test_constant_term(self):
         assert closed_form_HKL(3, 0, 4).coeffs[0] == BivarPoly.constant(1)
 
-    def test_k1_delegates_to_egf(self):
+    def test_k1_is_the_egf(self):
         assert closed_form_HKL(1, 0, 6) == hermite_egf(6)
 
     def test_k3_second_coefficient_is_h6(self):
