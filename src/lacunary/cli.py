@@ -167,7 +167,7 @@ def _exact_inputs(args, top: int) -> list[Fraction]:
 
 def run_nieto_truax(args) -> str:
     top = args.K * args.terms + args.L  # the exact partial sum reaches H_top
-    check_cap(top)
+    check_cap(max(args.K, top))  # the numeric path sums K exponentials
     lam, x, y = _exact_inputs(args, top)
     import mpmath
 

@@ -208,6 +208,12 @@ def nieto_truax(K: int, L: int, lam, x, y, precision_bits: int = 256):
 
     Returns an mpmath complex number whose imaginary part vanishes up to
     roundoff; the real part equals sum_n lam^(nK+L) H_(nK+L)(x,y)/(nK+L)!.
+
+    At least half of the precision_bits must survive: rounding the argument
+    x*tau + y*tau^2 of each exponential loses about log2 of its size, which
+    may not pass 128 either, since past that one exponential slows with its
+    argument; the sum then loses log2(largest term / |sum|) to cancellation.
+    Either loss past its bound raises DomainError before the result is built.
     """
     if K < 1:
         raise DomainError("K must be >= 1")
@@ -222,14 +228,31 @@ def nieto_truax(K: int, L: int, lam, x, y, precision_bits: int = 256):
             return mpmath.mpf(v.numerator) / v.denominator
         return mpmath.mpf(v)
 
+    half = precision_bits // 2
+    arg_bits = min(half, 128)
     with mpmath.workprec(precision_bits):
         lam_, x_, y_ = to_mpf(lam), to_mpf(x), to_mpf(y)
-        total = mpmath.mpc(0)
+        lost = max(mpmath.mag(abs(lam_ * x_) + abs(lam_**2 * y_)), 0)
+        if lost > arg_bits:
+            raise DomainError(
+                f"the exponential's argument |lambda*x| + |lambda^2*y| is near 2^{lost}, past "
+                f"2^{arg_bits}, the bound at --bits {precision_bits}; "
+                "shrink --lambda, --x or --y")
+        total, largest = mpmath.mpc(0), -mpmath.inf
         for ell in range(1, K + 1):
             root = mpmath.expjpi(mpmath.mpf(2 * ell) / K)
             tau = lam_ * root
             phase = mpmath.expjpi(mpmath.mpf(2 * ell * L) / K)
-            total += mpmath.exp(x_ * tau + y_ * tau**2) / phase
+            term = mpmath.exp(x_ * tau + y_ * tau**2) / phase
+            largest = max(largest, mpmath.mag(term))
+            total += term
+        lost += largest - mpmath.mag(total)
+        if lost > half:
+            size = f"near 2^{mpmath.mag(total)}" if total else "0"
+            raise DomainError(
+                f"the roots-of-unity sum cancels: its largest term is near 2^{largest} but "
+                f"the sum is {size}, so more than half of the {precision_bits} bits of "
+                "precision are lost; raise --bits")
         return total / K
 
 

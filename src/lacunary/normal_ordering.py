@@ -8,7 +8,9 @@ function T and the prefactor g solve the formal initial value problem
     d(ln g)/dmu = v(T),   g(0; x) = 1.
 
 The IVP is solved degree by degree in mu -- polynomial right-hand sides
-always have a unique formal solution.  `exp_action` is the one loop that
+always have a unique formal solution.  `normal_order` grows T and its powers
+one mu-order per step, O(deg_x q * order^2) polynomial products, and
+composes v with the finished T once.  `exp_action` is the one loop that
 expands exp(mu*A) f = sum_k mu^k A^k f / k! directly; `apply_exp_op` and
 :func:`lacunary.closed_forms.rk_series` use it.  `apply_exp_op` computes
 both that direct operator exponential and the (g, T) route and insists
@@ -49,30 +51,55 @@ class NormalOrderResult:
     order: int
 
 
-def compose(p: BivarPoly, series: LambdaSeries) -> LambdaSeries:
-    """Substitute the series for x in p (y passes through unchanged):
-    sum_a series^a * p_a(y), where p_a(y) multiplies x^a in p."""
+def _x_coefficients(p: BivarPoly) -> dict[int, BivarPoly]:
+    """{a: p_a(y)}, where p_a(y) multiplies x^a in p; absent for p_a = 0."""
     by_xpow: dict[int, dict] = {}
     for (a, b), c in p.num.items():
         by_xpow.setdefault(a, {})[(0, b)] = c
+    return {a: BivarPoly.from_numerators(num, p.den) for a, num in by_xpow.items()}
+
+
+def compose(p: BivarPoly, series: LambdaSeries) -> LambdaSeries:
+    """Substitute the series for x in p (y passes through unchanged):
+    sum_a series^a * p_a(y), where p_a(y) multiplies x^a in p."""
+    p_a = _x_coefficients(p)
     out = LambdaSeries(series.order)
     power = LambdaSeries.one(series.order)
-    for a in range(max(by_xpow, default=0) + 1):
+    for a in range(max(p_a, default=0) + 1):
         if a > 0:
             power = power * series
-        if a in by_xpow:
-            out = out + power * BivarPoly.from_numerators(by_xpow[a], p.den)
+        if a in p_a:
+            out = out + power * p_a[a]
     return out
 
 
 def normal_order(op: SemiLinearOp, order: int) -> NormalOrderResult:
-    """Solve the (T, g) initial value problem term by term in mu."""
+    """Solve the (T, g) initial value problem term by term in mu.
+
+    T and its powers T^a, a = 1 ... deg_x q, grow one mu-order per step
+    (online composition): step k extends each power by
+    [mu^k] T^a = sum_j T_j [mu^(k-j)] T^(a-1) over the non-zero T_j, then sets
+    T_(k+1) = sum_a q_a(y) [mu^k] T^a / (k+1).  g is exp of the integral of
+    v(T), composed once from the finished T.
+    """
     if order < 0:
         raise ValueError("order must be >= 0")
+    q_a = _x_coefficients(op.q)
+    zero = BivarPoly.zero()
     t_coeffs = [BivarPoly.x()]
+    # powers[a][i] = [mu^i] T^a; powers[1] is t_coeffs itself, powers[0] is unused
+    powers = [None, t_coeffs] + [[] for _ in range(2, max(q_a, default=1) + 1)]
+    nonzero = []  # (j, T_j) for the non-zero T_j found so far
     for k in range(order):
-        rhs = compose(op.q, LambdaSeries(k, t_coeffs[: k + 1]))
-        t_coeffs.append(rhs.coeffs[k] * Fraction(1, k + 1))
+        if t_coeffs[k]:
+            nonzero.append((k, t_coeffs[k]))
+        for a in range(2, len(powers)):
+            prev = powers[a - 1]
+            powers[a].append(sum((c * prev[k - j] for j, c in nonzero), zero))
+        # [mu^k] q(T), where [mu^k] T^0 is 1 at k = 0 only
+        rhs = sum((c * powers[a][k] for a, c in q_a.items() if a),
+                  q_a.get(0, zero) if k == 0 else zero)
+        t_coeffs.append(rhs * Fraction(1, k + 1))
     T = LambdaSeries(order, t_coeffs)
     vT = compose(op.v, T)
     log_g = LambdaSeries(order)

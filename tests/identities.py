@@ -1,13 +1,14 @@
 """Classical identities that the tests check the package against.
 
 None of them is a construction of the lacunary generating functions: the
-Pochhammer symbol, the Gauss multiplication formula in rational form, and
-the Crofton operator identity.
+Pochhammer symbol, the Gauss multiplication formula in rational form, the
+Crofton operator identity, and the normal-ordering IVP solved by its
+definition.
 """
 
 from fractions import Fraction
 
-from lacunary import BivarPoly, DomainError, LambdaSeries
+from lacunary import BivarPoly, DomainError, LambdaSeries, SemiLinearOp, compose, series_exp
 from lacunary.normal_ordering import exp_action
 
 
@@ -70,3 +71,16 @@ def crofton_check(m: int, y_coef, f: BivarPoly, g: BivarPoly, order: int) -> boo
         f_a = BivarPoly({(0, yp): v for (xp, yp), v in f.terms.items() if xp == a})
         right = right + power * f_a
     return exp_deriv(f * g) == right
+
+
+def normal_order_by_definition(op: SemiLinearOp, order: int) -> tuple[LambdaSeries, LambdaSeries]:
+    """(T, g) of exp(mu D) f = g * f(T) for D = q d/dx + v, from dT/dmu = q(T) and
+    d(ln g)/dmu = v(T): T_(k+1) = [mu^k] q(T) / (k+1), with q(T) composed afresh
+    from the first k + 1 coefficients of T at every order k."""
+    t = [BivarPoly.x()]
+    for k in range(order):
+        t.append(compose(op.q, LambdaSeries(k, t)).coeffs[k] * Fraction(1, k + 1))
+    T = LambdaSeries(order, t)
+    vT = compose(op.v, T)
+    log_g = [BivarPoly.zero()] + [vT.coeffs[j] * Fraction(1, j + 1) for j in range(order)]
+    return T, series_exp(LambdaSeries(order, log_g))

@@ -23,6 +23,7 @@ CAPPED = [
     ["normal-order", "--q", '[{"xp":100000000,"yp":0,"num":"1","den":"1"}]', "--v", "[]"],
     ["normal-order", "--q", "[]", "--v", '[{"xp":100000000,"yp":0,"num":"1","den":"1"}]'],
     ["nieto-truax", "5", "0", "--terms", "400"],
+    ["nieto-truax", "1000000", "0", "--terms", "0"],
     ["dilate", "1"],
     ["shift", "0"],
 ]
@@ -276,6 +277,35 @@ class TestSubcommands:
         assert len(json.loads(capsys.readouterr().out)["partial_sum"]) <= 4300
         assert main(["nieto-truax", "3", "1", "--x", "1e38"]) == 2
         assert capsys.readouterr().err.startswith("error: --x is too long")
+
+    @pytest.mark.parametrize("flag,value", [("--lambda", "1e4000"), ("--x", "1e4000")])
+    def test_nieto_truax_bounds_the_exponent(self, flag, value):
+        # the exact sum is one term; without the bound the numeric path takes 14 s on
+        # --x 1e4000, and on --lambda 1e4000 both exponentials round alike and cancel to 0
+        env = dict(os.environ, PYTHONPATH=str(Path(lacunary.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "lacunary.cli", "nieto-truax", "2", "1",
+                               "--terms", "0", flag, value],
+                              env=env, capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: the exponential's argument"), proc.stderr
+
+    def test_nieto_truax_refuses_cancellation(self, capsys):
+        # e^y sinh(x) at x = 1e-100: e^(y+x) - e^(y-x) cancels 332 bits, more than 256 resolve
+        argv = ["nieto-truax", "2", "1", "--terms", "0", "--lambda", "1", "--x", "1e-100",
+                "--y", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the roots-of-unity sum cancels") and "--bits" in err
+        assert main(argv + ["--bits", "1024"]) == 0
+        assert json.loads(capsys.readouterr().out)["real"].startswith("2.71828182845904523536")
+
+    def test_normal_order_of_the_hermite_operator(self, capsys):
+        # q = 2y, v = x: g = exp(mu x + mu^2 y), the Hermite EGF
+        q, v = '[{"xp":0,"yp":1,"num":"2","den":"1"}]', '[{"xp":1,"yp":0,"num":"1","den":"1"}]'
+        solved = json.loads(stdout_of(capsys, "normal-order", "--q", q, "--v", v,
+                                      "--order", "12"))
+        egf = json.loads(stdout_of(capsys, "emit", "egf", "--order", "12"))
+        assert solved["g"] == egf
 
     def test_default_sweep_is_capped(self, capsys, monkeypatch):
         # one below the H_75 that the default sweep reaches: rejected before it runs

@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from identities import crofton_check
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from identities import crofton_check, normal_order_by_definition
 
 from lacunary import (
     BivarPoly,
@@ -72,6 +74,35 @@ class TestNormalOrder:
                 order, [c * Fraction(2) ** k for k, c in enumerate(nr.T_series.coeffs)]
             )
             assert twice == doubled
+
+
+# q and v of x-degree <= 3 with y-terms: {(xp, yp): num/den}
+polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 2)),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+    max_size=4,
+).map(BivarPoly)
+
+
+class TestSolverOracle:
+    @given(polys, polys, st.integers(0, 8))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_definition(self, q, v, order):
+        op = SemiLinearOp(q=q, v=v)
+        nr = normal_order(op, order)
+        assert (nr.T_series, nr.g_series) == normal_order_by_definition(op, order)
+
+    @given(polys, polys, st.integers(0, 8))
+    @settings(max_examples=80, deadline=None)
+    def test_solves_the_ivp(self, q, v, order):
+        # (k+1) T_(k+1) = [mu^k] q(T) and (k+1) g_(k+1) = [mu^k] v(T) g, with T_0 = x, g_0 = 1
+        nr = normal_order(SemiLinearOp(q=q, v=v), order)
+        T, g = nr.T_series, nr.g_series
+        qT, vTg = compose(q, T), compose(v, T) * g
+        assert T.coeffs[0] == X and g.coeffs[0] == BivarPoly.constant(1)
+        for k in range(order):
+            assert T.coeffs[k + 1] * (k + 1) == qT.coeffs[k], k
+            assert g.coeffs[k + 1] * (k + 1) == vTg.coeffs[k], k
 
 
 def compose_series(outer: LambdaSeries, inner: LambdaSeries) -> LambdaSeries:
