@@ -43,7 +43,6 @@ from .series import (
     BivarPoly,
     LambdaSeries,
     TruncationUnderflowError,
-    series_exp,
 )
 from .verify import (
     VerifyConfig,
@@ -86,7 +85,6 @@ __all__ = [
     "resum_lemma1",
     "rk_series",
     "run_verification",
-    "series_exp",
     "shift",
 ]
 

@@ -133,7 +133,7 @@ def run_normal_order(args) -> str:
             for name, text in (("q", args.q), ("v", args.v)))
     check_cap(args.order * max(1, q.degree_x(), v.degree_x()))
     result = normal_order(SemiLinearOp(q=q, v=v), args.order)
-    return json.dumps({"order": result.order, "T": result.T_series.to_json(),
+    return json.dumps({"order": result.T_series.order, "T": result.T_series.to_json(),
                        "g": result.g_series.to_json()}, indent=2)
 
 

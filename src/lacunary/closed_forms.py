@@ -214,6 +214,7 @@ def nieto_truax(K: int, L: int, lam, x, y, precision_bits: int = 256):
     may not pass 128 either, since past that one exponential slows with its
     argument; the sum then loses log2(largest term / |sum|) to cancellation.
     Either loss past its bound raises DomainError before the result is built.
+    A sum whose every term is exactly 0 returns 0 without either check.
     """
     if K < 1:
         raise DomainError("K must be >= 1")
@@ -232,6 +233,10 @@ def nieto_truax(K: int, L: int, lam, x, y, precision_bits: int = 256):
     arg_bits = min(half, 128)
     with mpmath.workprec(precision_bits):
         lam_, x_, y_ = to_mpf(lam), to_mpf(x), to_mpf(y)
+        # every term lam^n H_n(x, y) / n!, n = sK + L, is exactly 0: for L > 0 when
+        # lam = 0 or x = y = 0, and when x = 0 and every n is odd
+        if (L and (not lam_ or not (x_ or y_))) or (not x_ and K % 2 == 0 and L % 2):
+            return mpmath.mpc(0)
         lost = max(mpmath.mag(abs(lam_ * x_) + abs(lam_**2 * y_)), 0)
         if lost > arg_bits:
             raise DomainError(

@@ -8,9 +8,11 @@ function T and the prefactor g solve the formal initial value problem
     d(ln g)/dmu = v(T),   g(0; x) = 1.
 
 The IVP is solved degree by degree in mu -- polynomial right-hand sides
-always have a unique formal solution.  `normal_order` grows T and its powers
-one mu-order per step, O(deg_x q * order^2) polynomial products, and
-composes v with the finished T once.  `exp_action` is the one loop that
+always have a unique formal solution.  `normal_order` solves both in one
+loop: each step grows T, its powers T^a and g by one mu-order, with v(T)
+read off the same powers, so it costs O(deg * order^2) polynomial products
+for deg the larger x-degree of q and v.  Every sum of products goes through
+:meth:`BivarPoly.dot`.  `exp_action` is the one loop that
 expands exp(mu*A) f = sum_k mu^k A^k f / k! directly; `apply_exp_op` and
 :func:`lacunary.closed_forms.rk_series` use it.  `apply_exp_op` computes
 both that direct operator exponential and the (g, T) route and insists
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hermite import fact
-from .series import BivarPoly, LambdaSeries, series_exp
+from .series import BivarPoly, LambdaSeries
 
 
 class ConsistencyError(AssertionError):
@@ -39,7 +41,7 @@ class SemiLinearOp:
     v: BivarPoly
 
     def apply(self, f: BivarPoly) -> BivarPoly:
-        return self.q * f.diff_x() + self.v * f
+        return BivarPoly.dot(((self.q, f.diff_x()), (self.v, f)))
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,6 @@ class NormalOrderResult:
 
     T_series: LambdaSeries
     g_series: LambdaSeries
-    order: int
 
 
 def _x_coefficients(p: BivarPoly) -> dict[int, BivarPoly]:
@@ -63,50 +64,37 @@ def compose(p: BivarPoly, series: LambdaSeries) -> LambdaSeries:
     """Substitute the series for x in p (y passes through unchanged):
     sum_a series^a * p_a(y), where p_a(y) multiplies x^a in p."""
     p_a = _x_coefficients(p)
-    out = LambdaSeries(series.order)
-    power = LambdaSeries.one(series.order)
-    for a in range(max(p_a, default=0) + 1):
-        if a > 0:
-            power = power * series
-        if a in p_a:
-            out = out + power * p_a[a]
-    return out
+    powers = [LambdaSeries.one(series.order)]
+    for _ in range(max(p_a, default=0)):
+        powers.append(powers[-1] * series)
+    return LambdaSeries(series.order, [
+        BivarPoly.dot((c, powers[a].coeffs[k]) for a, c in p_a.items())
+        for k in range(series.order + 1)])
 
 
 def normal_order(op: SemiLinearOp, order: int) -> NormalOrderResult:
-    """Solve the (T, g) initial value problem term by term in mu.
+    """Solve the (T, g) initial value problem term by term in mu, in one loop.
 
-    T and its powers T^a, a = 1 ... deg_x q, grow one mu-order per step
-    (online composition): step k extends each power by
-    [mu^k] T^a = sum_j T_j [mu^(k-j)] T^(a-1) over the non-zero T_j, then sets
-    T_(k+1) = sum_a q_a(y) [mu^k] T^a / (k+1).  g is exp of the integral of
-    v(T), composed once from the finished T.
+    Step k extends the powers of T, [mu^k] T^a = sum_j T_j [mu^(k-j)] T^(a-1)
+    for a = 2 ... max(deg_x q, deg_x v), then sets
+    T_(k+1) = sum_a q_a(y) [mu^k] T^a / (k+1), w_k = [mu^k] v(T) = sum_a v_a(y) [mu^k] T^a
+    and, from g' = v(T) g, g_(k+1) = sum_j w_j g_(k-j) / (k+1).
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    q_a = _x_coefficients(op.q)
-    zero = BivarPoly.zero()
-    t_coeffs = [BivarPoly.x()]
-    # powers[a][i] = [mu^i] T^a; powers[1] is t_coeffs itself, powers[0] is unused
-    powers = [None, t_coeffs] + [[] for _ in range(2, max(q_a, default=1) + 1)]
-    nonzero = []  # (j, T_j) for the non-zero T_j found so far
+    q_a, v_a = _x_coefficients(op.q), _x_coefficients(op.v)
+    dot = BivarPoly.dot
+    t, g, w = [BivarPoly.x()], [BivarPoly.constant(1)], []
+    # powers[a][k] = [mu^k] T^a: T^0 = 1 and T^1 = T
+    powers = [[g[0]] + [BivarPoly.zero()] * order, t]
+    powers += [[] for _ in range(2, max((*q_a, *v_a), default=1) + 1)]
     for k in range(order):
-        if t_coeffs[k]:
-            nonzero.append((k, t_coeffs[k]))
         for a in range(2, len(powers)):
-            prev = powers[a - 1]
-            powers[a].append(sum((c * prev[k - j] for j, c in nonzero), zero))
-        # [mu^k] q(T), where [mu^k] T^0 is 1 at k = 0 only
-        rhs = sum((c * powers[a][k] for a, c in q_a.items() if a),
-                  q_a.get(0, zero) if k == 0 else zero)
-        t_coeffs.append(rhs * Fraction(1, k + 1))
-    T = LambdaSeries(order, t_coeffs)
-    vT = compose(op.v, T)
-    log_g = LambdaSeries(order)
-    for j in range(order):
-        log_g.coeffs[j + 1] = vT.coeffs[j] * Fraction(1, j + 1)
-    g = series_exp(log_g)
-    return NormalOrderResult(T_series=T, g_series=g, order=order)
+            powers[a].append(dot(zip(t, reversed(powers[a - 1]))))
+        t.append(dot((c, powers[a][k]) for a, c in q_a.items()) * Fraction(1, k + 1))
+        w.append(dot((c, powers[a][k]) for a, c in v_a.items()))
+        g.append(dot(zip(w, reversed(g))) * Fraction(1, k + 1))
+    return NormalOrderResult(T_series=LambdaSeries(order, t), g_series=LambdaSeries(order, g))
 
 
 def exp_action(step, f, order: int) -> list:

@@ -4,10 +4,12 @@ No floating point enters this module.  A :class:`BivarPoly` is a sparse
 polynomial in the variables ``x`` and ``y``, stored as integer numerators
 over one positive integer denominator (the layout of FLINT's ``fmpq_poly``):
 ring operations do integer work, with one ``lcm`` per sum and one ``gcd``
-per result.  Its coefficients read as ``fractions.Fraction``.  A
-:class:`LambdaSeries` is a formal power series in a third variable (written
-``lambda`` in most of the package, ``mu`` in the normal-ordering code)
-truncated at an explicit inclusive order, with ``BivarPoly`` coefficients.
+per result.  Its coefficients read as ``fractions.Fraction``.  Two
+polynomials multiply in one place, :meth:`BivarPoly.dot`, a sum of products
+over one ``lcm``.  A :class:`LambdaSeries` is a formal power series in a
+third variable (written ``lambda`` in most of the package, ``mu`` in the
+normal-ordering code) truncated at an explicit inclusive order, with
+``BivarPoly`` coefficients.
 
 Truncation semantics: binary operations on two series combine orders with
 ``min`` and silently truncate -- the result is exact for every coefficient
@@ -106,6 +108,29 @@ class BivarPoly:
     def x(cls) -> "BivarPoly":
         return cls.from_numerators({(1, 0): 1})
 
+    @staticmethod
+    def dot(pairs) -> "BivarPoly":
+        """The sum of a * b over the (a, b) in pairs: the one product of polynomials.
+
+        The integer products are summed in one dict per denominator a.den * b.den
+        and merged once, over the lcm of those denominators.  A pair with a zero
+        factor is skipped, so its denominator does not enter the lcm.
+        """
+        by_den = {}
+        for a, b in pairs:
+            if not (a.num and b.num):
+                continue
+            den = a.den * b.den
+            acc = by_den.get(den)
+            if acc is None:
+                acc = by_den[den] = {}
+            b_items = b.num.items()
+            for (ax, ay), an in a.num.items():
+                for (bx, by), bn in b_items:
+                    k = (ax + bx, ay + by)
+                    acc[k] = acc[k] + an * bn if k in acc else an * bn
+        return _merge(by_den)
+
     @property
     def terms(self) -> dict:
         """A new dict (x_power, y_power) -> Fraction on each read."""
@@ -158,14 +183,7 @@ class BivarPoly:
                                              self.den * other.denominator)
         if not isinstance(other, BivarPoly):
             return NotImplemented
-        num = {}
-        items = other.num.items()
-        for (ax, ay), an in self.num.items():
-            for (bx, by), bn in items:
-                k = (ax + bx, ay + by)
-                num[k] = num[k] + an * bn if k in num else an * bn
-        return BivarPoly.from_numerators({k: v for k, v in num.items() if v},
-                                         self.den * other.den)
+        return BivarPoly.dot(((self, other),))
 
     __rmul__ = __mul__
 
@@ -330,16 +348,9 @@ class LambdaSeries:
         if not isinstance(other, LambdaSeries):
             return NotImplemented
         n = min(self.order, other.order)
-
-        def terms():
-            for i, a in enumerate(self.coeffs[: n + 1]):
-                for j, b in enumerate(other.coeffs[: n + 1 - i]):
-                    den, b_items = a.den * b.den, b.num.items()
-                    for (ax, ay), an in a.num.items():
-                        for (bx, by), bn in b_items:
-                            yield i + j, ax + bx, ay + by, an * bn, den
-
-        return LambdaSeries.collect(n, terms())
+        a, b = self.coeffs, other.coeffs
+        return LambdaSeries(n, [BivarPoly.dot((a[i], b[k - i]) for i in range(k + 1))
+                                for k in range(n + 1)])
 
     __rmul__ = __mul__
 
@@ -374,19 +385,3 @@ class LambdaSeries:
 
     def __repr__(self):
         return f"LambdaSeries(order={self.order}, {self})"
-
-
-def series_exp(a: LambdaSeries) -> LambdaSeries:
-    """exp of a series with vanishing constant term, truncated exactly.
-
-    g = exp(a) solves g' = a' g, so n g_n = sum_k k a_k g_(n-k): order^2
-    polynomial products, over the non-zero a_k only.
-    """
-    if not a.coeffs[0].is_zero():
-        raise ValueError("series_exp requires zero constant term")
-    ka = [(k, c * k) for k, c in enumerate(a.coeffs) if c]
-    g = [BivarPoly.constant(1)]
-    for n in range(1, a.order + 1):
-        gn = sum((c * g[n - k] for k, c in ka if k <= n), BivarPoly.zero())
-        g.append(gn * Fraction(1, n))
-    return LambdaSeries(a.order, g)

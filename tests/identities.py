@@ -7,8 +7,9 @@ definition.
 """
 
 from fractions import Fraction
+from math import factorial
 
-from lacunary import BivarPoly, DomainError, LambdaSeries, SemiLinearOp, compose, series_exp
+from lacunary import BivarPoly, DomainError, LambdaSeries, SemiLinearOp, compose
 from lacunary.normal_ordering import exp_action
 
 
@@ -76,11 +77,21 @@ def crofton_check(m: int, y_coef, f: BivarPoly, g: BivarPoly, order: int) -> boo
 def normal_order_by_definition(op: SemiLinearOp, order: int) -> tuple[LambdaSeries, LambdaSeries]:
     """(T, g) of exp(mu D) f = g * f(T) for D = q d/dx + v, from dT/dmu = q(T) and
     d(ln g)/dmu = v(T): T_(k+1) = [mu^k] q(T) / (k+1), with q(T) composed afresh
-    from the first k + 1 coefficients of T at every order k."""
+    from the first k + 1 coefficients of T at every order k, and g the power sum
+    of exp(ln g)."""
     t = [BivarPoly.x()]
     for k in range(order):
         t.append(compose(op.q, LambdaSeries(k, t)).coeffs[k] * Fraction(1, k + 1))
     T = LambdaSeries(order, t)
     vT = compose(op.v, T)
     log_g = [BivarPoly.zero()] + [vT.coeffs[j] * Fraction(1, j + 1) for j in range(order)]
-    return T, series_exp(LambdaSeries(order, log_g))
+    return T, power_sum_exp(LambdaSeries(order, log_g))
+
+
+def power_sum_exp(a: LambdaSeries) -> LambdaSeries:
+    """exp(a) by its definition: the sum of a^j / j! over j <= order."""
+    total, power = LambdaSeries.one(a.order), LambdaSeries.one(a.order)
+    for j in range(1, a.order + 1):
+        power = power * a
+        total = total + power * Fraction(1, factorial(j))
+    return total

@@ -289,6 +289,14 @@ class TestSubcommands:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: the exponential's argument"), proc.stderr
 
+    @pytest.mark.parametrize("argv", [["2", "1", "--x", "0"], ["3", "1", "--lambda", "0"],
+                                      ["2", "1", "--x", "0", "--y", "0"]], ids=" ".join)
+    def test_nieto_truax_exact_zero(self, capsys, argv):
+        # every term vanishes: H_odd(0, y) = 0, lambda^(nK+L) = 0, H_n(0, 0) = 0 for n > 0
+        assert main(["nieto-truax", *argv]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"real": "0.0", "imag": "0.0", "partial_sum": "0/1"}
+
     def test_nieto_truax_refuses_cancellation(self, capsys):
         # e^y sinh(x) at x = 1e-100: e^(y+x) - e^(y-x) cancels 332 bits, more than 256 resolve
         argv = ["nieto-truax", "2", "1", "--terms", "0", "--lambda", "1", "--x", "1e-100",

@@ -1,6 +1,7 @@
 """Closed-form generating functions vs the brute-force Hermite oracle."""
 
 import ast
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
@@ -269,6 +270,18 @@ class TestNietoTruax:
             om = mpmath.mpf(oracle.numerator) / oracle.denominator
             assert abs(v.real - om) < abs(om) * mpmath.mpf(10) ** -20
             assert abs(v.imag) < mpmath.mpf(10) ** -30
+
+    @pytest.mark.parametrize("K,L", [(K, L) for K in range(1, 5) for L in range(K)])
+    def test_exact_zeros(self, K, L):
+        # lambda, x and y at 0 and off it: a sum whose every term is 0 comes back as exactly
+        # 0 and every other matches the partial sum; none is refused as a cancellation
+        for lam, x, y in itertools.product((0, Fraction(1, 3)), (0, Fraction(1, 2)), (0, 1)):
+            v = nieto_truax(K, L, lam, x, y, 128)
+            oracle = nieto_truax_partial_sum(K, L, lam, x, y, 30)
+            with mpmath.workprec(128):
+                om = mpmath.mpf(oracle.numerator) / oracle.denominator
+                assert abs(v - om) <= abs(om) * mpmath.mpf(10) ** -20, (lam, x, y)
+            assert (v == 0) == (oracle == 0), (lam, x, y)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):

@@ -11,7 +11,6 @@ from lacunary import (
     BivarPoly,
     LambdaSeries,
     TruncationUnderflowError,
-    series_exp,
     shift,
 )
 
@@ -61,6 +60,18 @@ class TestBivarPoly:
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a
+
+    @given(st.lists(st.tuples(small_polys(), small_polys()), max_size=5))
+    @settings(max_examples=60)
+    def test_dot_is_the_sum_of_products(self, pairs):
+        # small_polys mixes denominators and draws the zero polynomial
+        assert BivarPoly.dot(pairs) == sum((a * b for a, b in pairs), BivarPoly.zero())
+
+    def test_dot_cancels_exactly(self):
+        x, half = BivarPoly.x(), BivarPoly.constant(Fraction(1, 2))
+        zero = BivarPoly.dot([(x, half), (x * Fraction(-1, 3), half * 3)])
+        assert zero == BivarPoly.zero() and zero.den == 1
+        assert BivarPoly.dot([]) == BivarPoly.zero()
 
     def test_constant_hash_agrees_with_eq(self):
         assert hash(BivarPoly.constant(1)) == hash(1)
@@ -279,34 +290,3 @@ def test_series_json_roundtrip():
     s = hermite_egf(4)
     assert LambdaSeries.from_json(s.to_json()) == s
 
-
-def power_sum_exp(a: LambdaSeries) -> LambdaSeries:
-    """exp(a) by its definition: the sum of a^j / j! over j <= order."""
-    total, power = LambdaSeries.one(a.order), LambdaSeries.one(a.order)
-    for j in range(1, a.order + 1):
-        power = power * a
-        total = total + power * Fraction(1, factorial(j))
-    return total
-
-
-class TestSeriesExp:
-    @pytest.mark.parametrize("coeffs", [
-        [0, 1, 0, 0, 0, 0],                                   # exp(lambda)
-        [0, BivarPoly.x(), BivarPoly.monomial(1, 0, 1), 0, 0, 0, 0, 0],     # the Hermite EGF
-        [0, 0, 0, Fraction(-2, 3), 0, 0, 0],                  # nilpotent: a^3 = 0
-        [0, BivarPoly.x() + 2, 0, BivarPoly.monomial(Fraction(1, 5), 0, 1), BivarPoly.x(), 7],
-        [0],
-    ])
-    def test_matches_power_sum(self, coeffs):
-        a = LambdaSeries(len(coeffs) - 1, coeffs)
-        assert series_exp(a) == power_sum_exp(a)
-
-    @given(small_series(4))
-    @settings(max_examples=25, deadline=None)
-    def test_matches_power_sum_random(self, a):
-        a.coeffs[0] = BivarPoly.zero()
-        assert series_exp(a) == power_sum_exp(a)
-
-    def test_requires_zero_constant_term(self):
-        with pytest.raises(ValueError):
-            series_exp(LambdaSeries(2, [1, 0, 0]))
