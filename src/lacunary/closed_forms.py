@@ -136,31 +136,33 @@ def _evaluate_plan(plan: ClosedFormPlan, L: int, order: int) -> LambdaSeries:
 
     The prefactor is integer numerators times the factorial ratio over p0!;
     block term t is a rational times lambda^(t*lp) y^(t*yp), multiplied
-    straight into the prefactor's numerators.
+    straight into the prefactor's numerators.  Each block term fetches its
+    bucket of LambdaSeries.collect once; the block is cut so that its last
+    term stays within the order.
     """
     K = plan.K
     H = [hermite_poly(j).num for j in range(L + 1)]
-
-    def terms():
-        for br in plan.branches:
-            parts = _leibniz_parts(H, br.y_power)
-            lower = [(b, br.den) for b in br.lower]
-            lp, yp_step = br.arg_lpow, br.arg_ypow
-            for s in range(order + 1 - br.lambda_shift):
-                p0 = s + br.lambda_shift
-                pref = _leibniz_prefactor(br.x_power(K, s), parts).items()
-                ratio, p0_fact = br.factorial_ratio(K, s), fact(p0)
-                upper = [(u + K * s, br.den) for u in br.upper]
-                block = pfq_series(upper, lower, (br.arg_coef, 1), (order - p0) // lp + 1)
-                for t, (bn, bd) in enumerate(block):
-                    if not bn:
-                        break  # an upper parameter reached 0: so do all later terms
-                    bn *= ratio
-                    bd *= p0_fact
-                    for (xp, yp), v in pref:
-                        yield p0 + t * lp, xp, yp + t * yp_step, v * bn, bd
-
-    return LambdaSeries.collect(order, terms())
+    sums = [{} for _ in range(order + 1)]
+    for br in plan.branches:
+        parts = _leibniz_parts(H, br.y_power)
+        lower = [(b, br.den) for b in br.lower]
+        lp, yp_step = br.arg_lpow, br.arg_ypow
+        for s in range(order + 1 - br.lambda_shift):
+            p0 = s + br.lambda_shift
+            pref = _leibniz_prefactor(br.x_power(K, s), parts).items()
+            ratio, p0_fact = br.factorial_ratio(K, s), fact(p0)
+            upper = [(u + K * s, br.den) for u in br.upper]
+            block = pfq_series(upper, lower, (br.arg_coef, 1), (order - p0) // lp + 1)
+            for t, (bn, bd) in enumerate(block):
+                if not bn:
+                    break  # an upper parameter reached 0: so do all later terms
+                bn *= ratio
+                acc = sums[p0 + t * lp].setdefault(bd * p0_fact, {})
+                ty = t * yp_step
+                for (xp, yp), v in pref:
+                    key = (xp, yp + ty)
+                    acc[key] = acc[key] + v * bn if key in acc else v * bn
+    return LambdaSeries.collect(sums)
 
 
 def closed_form_HKL(K: int, L: int, order: int) -> LambdaSeries:

@@ -45,9 +45,16 @@ class CoeffTable:
 
 
 def _hermite_numerators(n: int) -> dict:
-    """The integer coefficients of H_n(x, y): n! / ((n-2k)! k!) at x^(n-2k) y^k."""
-    nf = fact(n)
-    return {(n - 2 * k, k): nf // (fact(n - 2 * k) * fact(k)) for k in range(n // 2 + 1)}
+    """The integer coefficients of H_n(x, y): n! / ((n-2k)! k!) at x^(n-2k) y^k.
+
+    They follow from c_0 = 1 by the ratio c_(k+1) = c_k (n-2k)(n-2k-1) / (k+1),
+    each step an exact division by a small integer.
+    """
+    out, c = {}, 1
+    for k in range(n // 2 + 1):
+        out[n - 2 * k, k] = c
+        c = c * ((n - 2 * k) * (n - 2 * k - 1)) // (k + 1)
+    return out
 
 
 def hermite_poly(n: int) -> BivarPoly:
@@ -63,9 +70,12 @@ def hermite_egf(order: int) -> LambdaSeries:
                                 for n in range(order + 1)])
 
 
+_ZERO = BivarPoly.zero()
+
+
 def _hermite_entry(r: int, m: int) -> BivarPoly:
     if m % 2 != 0:
-        return BivarPoly.zero()
+        return _ZERO
     half = m // 2
     return BivarPoly.from_numerators({(0, half): fact(r + m) // (fact(r) * fact(half))})
 

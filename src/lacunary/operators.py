@@ -77,20 +77,26 @@ def _resum(table: CoeffTable, K: int, branches: tuple[Branch, ...],
     """Sum x^r lambda^p g_{r,m}(y) / p!, p = (r + m) / K, over the families.
 
     r + m < K * (order + 1) is exactly p <= order, and it bounds both loops.
+    Every index is >= 0 by construction, so entries are read straight from
+    table.generator, and an empty entry is skipped before any arithmetic.  A
+    non-empty entry fetches its bucket of LambdaSeries.collect, the one for
+    lambda^p and denominator g.den * p!, once and adds its numerators there.
     """
     end = K * (order + 1)
-
-    def terms():
-        for br in branches:
-            for r in range(br.x_offset, end, K):
-                for m in range(br.m_offset, end - r, br.m_step):
-                    p = (r + m) // K
-                    g = table(r, m)
-                    den = g.den * fact(p)
-                    for (xp, yp), c in g.num.items():
-                        yield p, r + xp, yp, c, den
-
-    return LambdaSeries.collect(order, terms())
+    entry = table.generator
+    sums = [{} for _ in range(order + 1)]
+    for br in branches:
+        for r in range(br.x_offset, end, K):
+            for m in range(br.m_offset, end - r, br.m_step):
+                g = entry(r, m)
+                if not g.num:
+                    continue
+                p = (r + m) // K
+                acc = sums[p].setdefault(g.den * fact(p), {})
+                for (xp, yp), c in g.num.items():
+                    key = (r + xp, yp)
+                    acc[key] = acc[key] + c if key in acc else c
+    return LambdaSeries.collect(sums)
 
 
 def lemma1_branches(K: int) -> tuple[Branch, ...]:

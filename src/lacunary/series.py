@@ -313,24 +313,15 @@ class LambdaSeries:
         return cls(order, coeffs)
 
     @classmethod
-    def collect(cls, order: int, terms) -> "LambdaSeries":
-        """Sum of (num/den) * x^xp * y^yp * lambda^p over the (p, xp, yp, num, den) in `terms`.
+    def collect(cls, sums: list) -> "LambdaSeries":
+        """The series whose lambda^p coefficient is the sum of the buckets sums[p].
 
-        num and den are integers, den > 0.  Terms with p > order are dropped.
-        Each lambda-power sums its integer numerators in one dict per
-        denominator; the dicts are merged once, over the lcm of their
-        denominators, so sums of zero vanish.
+        sums[p] is {den: {(xp, yp): num}}, integer numerators each over its
+        den > 0, which a producer fills in place; the order is len(sums) - 1.
+        Each lambda-power is merged once, over the lcm of its denominators, so
+        sums of zero vanish.
         """
-        sums = [{} for _ in range(order + 1)]
-        for p, xp, yp, num, den in terms:
-            if p <= order:
-                by_den = sums[p]
-                acc = by_den.get(den)
-                if acc is None:
-                    acc = by_den[den] = {}
-                key = (xp, yp)
-                acc[key] = acc[key] + num if key in acc else num
-        return cls(order, [_merge(by_den) for by_den in sums])
+        return cls(len(sums) - 1, [_merge(by_den) for by_den in sums])
 
     # -- arithmetic -----------------------------------------------------
 

@@ -1,8 +1,15 @@
 """Dilatation, shift, and the resummed summand families vs the brute-force oracle."""
 
+import random
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lacunary import (
+    BivarPoly,
+    CoeffTable,
     LambdaSeries,
     TruncationUnderflowError,
     dilate_bruteforce,
@@ -71,6 +78,26 @@ class TestResummation:
         table = hermite_coeff_table()
         s = resum_lemma1(table, 5, 3)
         assert s.coeffs[2] * fact(2) == hermite_poly(10)
+
+    @given(st.randoms(use_true_random=False), st.integers(1, 6), st.integers(0, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_random_table_against_bruteforce(self, rng, K, n):
+        # entries of 0-3 terms c * y^(0..2), c over 1..12, some of them all zero,
+        # up to the largest r + m that resum_lemma1 reads at order n
+        top = K * (n + 1) - 1
+        entries = {(r, m): BivarPoly({(0, rng.randint(0, 2)): Fraction(rng.randint(-5, 5),
+                                                                       rng.randint(1, 12))
+                                      for _ in range(rng.randint(0, 3))})
+                   for r in range(top + 1) for m in range(top + 1 - r)}
+        table = CoeffTable(generator=lambda r, m: entries[r, m], name="random")
+        # the EGF sum_r x^r sum_m lambda^(r+m)/(r+m)! g_{r,m}(y), summed term by term
+        coeffs = [BivarPoly.zero() for _ in range(K * n + 1)]
+        for r in range(K * n + 1):
+            for m in range(K * n + 1 - r):
+                coeffs[r + m] += (BivarPoly.monomial(Fraction(1, fact(r + m)), r, 0)
+                                  * table(r, m))
+        egf = LambdaSeries(K * n, coeffs)
+        assert resum_lemma1(table, K, n) == dilate_bruteforce(egf, K)
 
     def test_parity_split_on_hermite_table(self):
         table = hermite_coeff_table()

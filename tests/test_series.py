@@ -96,20 +96,21 @@ class TestBivarPoly:
 
 
 class TestCollect:
-    def test_merges_drops_zero_sums_and_ignores_high_powers(self):
-        s = LambdaSeries.collect(2, [
-            (1, 1, 0, 1, 2),
-            (1, 1, 0, 1, 3),     # same key: summed
-            (2, 0, 1, 3, 1),
-            (2, 0, 1, -3, 1),    # cancels to nothing
-            (2, 2, 2, 4, 1),
-            (3, 0, 0, 7, 1),     # beyond the order: ignored
+    def test_merges_buckets_and_drops_zero_sums(self):
+        s = LambdaSeries.collect([
+            {},
+            {2: {(1, 0): 1}, 3: {(1, 0): 1}},     # same key over two dens: summed
+            {1: {(0, 1): 0, (2, 2): 4}},          # a zero sum vanishes
         ])
         assert s.order == 2
         assert s.coeffs[0].is_zero()
         assert s.coeffs[1].terms == {(1, 0): Fraction(5, 6)}
         assert s.coeffs[2].terms == {(2, 2): Fraction(4)}
         assert isinstance(s.coeffs[2].coefficient(2, 2), Fraction)
+
+    def test_order_is_one_less_than_the_buckets(self):
+        assert LambdaSeries.collect([{}]) == LambdaSeries(0)
+        assert LambdaSeries.collect([{5: {(0, 0): 10}}, {}]) == LambdaSeries(1, [2, 0])
 
 
 term_dicts = st.dictionaries(
@@ -171,16 +172,19 @@ class TestLayout:
         assert_is(pa + c, ref_add(ra, {(0, 0): c}))
         assert_is(pa.diff_x(times), ref_diff_x(ra, times))
 
-    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2),
-                              st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6, 9, 12]))))
+    @given(st.lists(st.dictionaries(
+        st.sampled_from([1, 2, 3, 4, 6, 9, 12]),
+        st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-6, 6)),
+    ), min_size=1, max_size=3))
     @settings(max_examples=100)
-    def test_collect_over_mixed_denominators(self, terms):
-        s = LambdaSeries.collect(2, terms)
-        refs = [{} for _ in range(3)]
-        for p, xp, yp, num, den in terms:
-            if p <= 2:
-                refs[p][xp, yp] = refs[p].get((xp, yp), 0) + Fraction(num, den)
-        for c, ref in zip(s.coeffs, refs):
+    def test_collect_over_mixed_denominators(self, sums):
+        s = LambdaSeries.collect(sums)
+        assert s.order == len(sums) - 1
+        for c, by_den in zip(s.coeffs, sums):
+            ref = {}
+            for den, acc in by_den.items():
+                for k, num in acc.items():
+                    ref[k] = ref.get(k, 0) + Fraction(num, den)
             assert_is(c, reference(ref))
 
     @given(term_dicts)
