@@ -22,7 +22,7 @@ function) lives on a separate numeric path using mpmath, imported only there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
@@ -32,24 +32,20 @@ from .normal_ordering import SemiLinearOp, exp_action
 from .series import BivarPoly, LambdaSeries
 
 
-@dataclass(frozen=True)
-class ClosedFormBranch:
+class ClosedFormBranch(namedtuple("ClosedFormBranch", "lambda_shift y_power den upper "
+                                                     "lower arg_coef arg_lpow arg_ypow")):
     """One branch of the closed form: lambda-shift, prefactor y-power and pFq block.
 
+    The branch's terms carry lambda^(s+d)/(s+d)! for d = ``lambda_shift``, and
+    its prefactor carries y^b and the factorial ratio for b = ``y_power``.
     Every block parameter is an integer numerator over the one denominator
     ``den`` (K for even K, 2K for odd K): at step s the upper parameters are
-    (u + K*s)/den for u in ``upper`` and the lower ones b/den for b in
-    ``lower``.  The block argument is arg_coef * lambda^arg_lpow * y^arg_ypow.
+    (u + K*s)/den for u in the tuple ``upper`` and the lower ones b/den for b
+    in the tuple ``lower``.  The block argument is
+    arg_coef * lambda^arg_lpow * y^arg_ypow.
     """
 
-    lambda_shift: int           # d in lambda^(s+d)/(s+d)!
-    y_power: int                # b: prefactor carries y^b and the factorial ratio
-    den: int
-    upper: tuple[int, ...]
-    lower: tuple[int, ...]
-    arg_coef: int
-    arg_lpow: int
-    arg_ypow: int
+    __slots__ = ()
 
     def x_power(self, K: int, s: int) -> int:
         return K * (s + self.lambda_shift) - 2 * self.y_power
@@ -71,10 +67,10 @@ class ClosedFormBranch:
         }
 
 
-@dataclass(frozen=True)
-class ClosedFormPlan:
-    K: int
-    branches: tuple[ClosedFormBranch, ...]
+class ClosedFormPlan(namedtuple("ClosedFormPlan", "K branches")):
+    """The K-tuple closed form as its tuple of ClosedFormBranch."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"K": self.K, "branches": [b.to_json(self.K) for b in self.branches]}
@@ -172,24 +168,21 @@ def closed_form_HKL(K: int, L: int, order: int) -> LambdaSeries:
     return _evaluate_plan(closed_form_plan(K), L, order)
 
 
-@dataclass(frozen=True)
-class RkSeries:
+class RkSeries(namedtuple("RkSeries", "mu_coeffs")):
     """Bivariate series in (mu, lambda): the EGF of all L-shifted closed forms.
 
     Equals exp(mu*D) applied to the K-tuple closed form, D = x + 2y d/dx the
-    Hermite raising operator (D H_n = H_(n+1)); L! times the mu^L coefficient
-    recovers the L-shifted generating function.
+    Hermite raising operator (D H_n = H_(n+1)); ``mu_coeffs`` holds its
+    mu-coefficients, one LambdaSeries per mu-power, and L! times the mu^L
+    coefficient recovers the L-shifted generating function.
     """
 
-    K: int
-    mu_order: int
-    lambda_order: int
-    mu_coeffs: tuple[LambdaSeries, ...]
+    __slots__ = ()
 
     def hkl(self, L: int) -> LambdaSeries:
         """L! * [mu^L], the L-shifted lacunary generating function."""
-        if not 0 <= L <= self.mu_order:
-            raise ValueError(f"L must lie in 0..{self.mu_order}, got {L}")
+        if not 0 <= L < len(self.mu_coeffs):
+            raise ValueError(f"L must lie in 0..{len(self.mu_coeffs) - 1}, got {L}")
         return self.mu_coeffs[L] * fact(L)
 
 
@@ -202,7 +195,7 @@ def rk_series(K: int, mu_order: int, lambda_order: int) -> RkSeries:
     mu_coeffs = exp_action(
         lambda g: LambdaSeries(lambda_order, [raising.apply(c) for c in g.coeffs]),
         closed_form_HKL(K, 0, lambda_order), mu_order)
-    return RkSeries(K, mu_order, lambda_order, tuple(mu_coeffs))
+    return RkSeries(tuple(mu_coeffs))
 
 
 def nieto_truax(K: int, L: int, lam, x, y, precision_bits: int = 256):

@@ -13,10 +13,9 @@ sole input of the generic resummation algorithm in :mod:`lacunary.operators`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import factorial
-from typing import Callable
 
 from .series import BivarPoly, LambdaSeries
 
@@ -27,16 +26,14 @@ def fact(n: int) -> int:
     return factorial(n)
 
 
-@dataclass(frozen=True)
-class CoeffTable:
+class CoeffTable(namedtuple("CoeffTable", "generator name", defaults=("table",))):
     """EGF double-expansion coefficients (r, m) -> polynomial in y.
 
-    ``generator`` computes entries on demand and returns zero where an entry
-    vanishes (odd m for the Hermite table).
+    ``generator(r, m)`` computes entries on demand and returns zero where an
+    entry vanishes (odd m for the Hermite table); ``name`` labels the table.
     """
 
-    generator: Callable[[int, int], BivarPoly]
-    name: str = "table"
+    __slots__ = ()
 
     def __call__(self, r: int, m: int) -> BivarPoly:
         if r < 0 or m < 0:

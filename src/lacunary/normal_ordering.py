@@ -22,7 +22,7 @@ normal-ordering theorem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .hermite import fact
@@ -33,23 +33,17 @@ class ConsistencyError(AssertionError):
     """The two independent routes of apply_exp_op disagreed."""
 
 
-@dataclass(frozen=True)
-class SemiLinearOp:
+class SemiLinearOp(namedtuple("SemiLinearOp", "q v")):
     """D = q(x) d/dx + v(x) with polynomial q, v."""
 
-    q: BivarPoly
-    v: BivarPoly
+    __slots__ = ()
 
     def apply(self, f: BivarPoly) -> BivarPoly:
         return BivarPoly.dot(((self.q, f.diff_x()), (self.v, f)))
 
 
-@dataclass(frozen=True)
-class NormalOrderResult:
-    """Truncated mu-series for the substitution function T and prefactor g."""
-
-    T_series: LambdaSeries
-    g_series: LambdaSeries
+# the truncated mu-series of the substitution function T and the prefactor g
+NormalOrderResult = namedtuple("NormalOrderResult", "T_series g_series")
 
 
 def _x_coefficients(p: BivarPoly) -> dict[int, BivarPoly]:

@@ -17,7 +17,7 @@ into its even-t and odd-t halves and groups the families by the parity of m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .hermite import CoeffTable, fact
 from .series import LambdaSeries, TruncationUnderflowError
@@ -52,8 +52,7 @@ def shift(series: LambdaSeries, L: int) -> LambdaSeries:
     return LambdaSeries(order, coeffs)
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(namedtuple("Branch", "x_offset m_step m_offset")):
     """One summand family of the resummed dilatation.
 
     The family runs over s, t >= 0 with first index r = K*s + x_offset and
@@ -61,9 +60,7 @@ class Branch:
     (r + m) / K, which the construction guarantees to be integral.
     """
 
-    x_offset: int
-    m_step: int
-    m_offset: int
+    __slots__ = ()
 
     def m_parity(self) -> int:
         """Parity of the second index; well-defined when m_step is even."""

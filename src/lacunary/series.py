@@ -5,11 +5,11 @@ polynomial in the variables ``x`` and ``y``, stored as integer numerators
 over one positive integer denominator (the layout of FLINT's ``fmpq_poly``):
 ring operations do integer work, with one ``lcm`` per sum and one ``gcd``
 per result.  Its coefficients read as ``fractions.Fraction``.  Two
-polynomials multiply in one place, :meth:`BivarPoly.dot`, a sum of products
-over one ``lcm``.  A :class:`LambdaSeries` is a formal power series in a
-third variable (written ``lambda`` in most of the package, ``mu`` in the
-normal-ordering code) truncated at an explicit inclusive order, with
-``BivarPoly`` coefficients.
+polynomials multiply, and add, in one place, :meth:`BivarPoly.dot`, a sum
+of products over one ``lcm``.  A :class:`LambdaSeries` is a formal power
+series in a third variable (written ``lambda`` in most of the package,
+``mu`` in the normal-ordering code) truncated at an explicit inclusive
+order, with ``BivarPoly`` coefficients.
 
 Truncation semantics: binary operations on two series combine orders with
 ``min`` and silently truncate -- the result is exact for every coefficient
@@ -144,20 +144,7 @@ class BivarPoly:
             other = BivarPoly.constant(other)
         if not isinstance(other, BivarPoly):
             return NotImplemented
-        da, db = self.den, other.den
-        den = da if da == db else lcm(da, db)
-        fa, fb = den // da, den // db
-        num = {k: v * fa for k, v in self.num.items()} if fa != 1 else dict(self.num)
-        for k, v in other.num.items():
-            if fb != 1:
-                v *= fb
-            if k in num:
-                v += num[k]
-                if not v:
-                    del num[k]
-                    continue
-            num[k] = v
-        return BivarPoly.from_numerators(num, den)
+        return BivarPoly.dot(((self, _ONE), (other, _ONE)))
 
     __radd__ = __add__
 
@@ -262,6 +249,9 @@ class BivarPoly:
 
     def __repr__(self):
         return f"BivarPoly({self})"
+
+
+_ONE = BivarPoly.constant(1)
 
 
 def _merge(by_den: dict) -> BivarPoly:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import os
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .closed_forms import closed_form_HKL
@@ -38,23 +37,20 @@ def check_cap(size: int) -> None:
         raise ValueError(f"size {size} exceeds LACUNAE_CAP={cap} (set it higher)")
 
 
-@dataclass
 class VerifyConfig:
     """A sweep: n_max maps each K of the sweep to its order n."""
 
-    n_max: dict[int, int]
-    l_min: int = 0
-    l_max: int = 0
-    seed: int = 0
+    __slots__ = ("n_max", "l_min", "l_max", "seed")
 
-    def __post_init__(self):
-        if not self.n_max or not all(1 <= K <= 12 for K in self.n_max):
+    def __init__(self, n_max: dict[int, int], l_min: int = 0, l_max: int = 0, seed: int = 0):
+        if not n_max or not all(1 <= K <= 12 for K in n_max):
             raise ValueError("K range must lie within [1, 12]")
-        if self.l_min < 0 or self.l_min > self.l_max:
+        if l_min < 0 or l_min > l_max:
             raise ValueError("invalid L range")
-        if any(n < 0 for n in self.n_max.values()):
-            raise ValueError(f"n_max must be >= 0, got {self.n_max!r}")
-        check_cap(max(max(n * K + self.l_max, RESUM_ORDER * K) for K, n in self.n_max.items()))
+        if any(n < 0 for n in n_max.values()):
+            raise ValueError(f"n_max must be >= 0, got {n_max!r}")
+        check_cap(max(max(n * K + l_max, RESUM_ORDER * K) for K, n in n_max.items()))
+        self.n_max, self.l_min, self.l_max, self.seed = n_max, l_min, l_max, seed
 
 
 def _case(K: int, L: int | None, n: int, diff_term: dict | None,

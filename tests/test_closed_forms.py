@@ -134,13 +134,27 @@ class TestPlanStructure:
                 assert all(b > 0 for b in br.lower), K
 
 
+def imported_modules(path: Path) -> list[str]:
+    """The modules that the source file at path imports, anywhere in it, by its AST."""
+    tree = ast.parse(path.read_text())
+    return [getattr(node, "module", None) or alias.name for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+
+
 def test_closed_forms_imports_nothing_from_operators():
     # the closed form stays independent of the brute force and the resummation it is
     # checked against
-    tree = ast.parse(Path(closed_forms.__file__).read_text())
-    sources = [getattr(node, "module", None) or alias.name for node in ast.walk(tree)
-               if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    sources = imported_modules(Path(closed_forms.__file__))
     assert not [m for m in sources if m.split(".")[-1] == "operators"], sources
+
+
+def test_package_imports_neither_dataclasses_nor_typing():
+    # the value types are named tuples and __slots__ classes, so a cold start loads
+    # neither module; the source is read, not sys.modules, which site may have filled
+    for path in sorted(Path(closed_forms.__file__).parent.glob("*.py")):
+        sources = imported_modules(path)
+        assert not [m for m in sources if m.split(".")[0] in ("dataclasses", "typing")], (
+            path.name, sources)
 
 
 class TestClosedFormHK0:
