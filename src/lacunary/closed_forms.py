@@ -23,6 +23,7 @@ function) lives on a separate numeric path using mpmath, imported only there.
 from __future__ import annotations
 
 from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -168,7 +169,9 @@ def closed_form_HKL(K: int, L: int, order: int) -> LambdaSeries:
     return _evaluate_plan(closed_form_plan(K), L, order)
 
 
-class RkSeries(namedtuple("RkSeries", "mu_coeffs")):
+# a dataclass, not a named tuple: bench/selftest.py rebuilds it with dataclasses.replace
+@dataclass(frozen=True)
+class RkSeries:
     """Bivariate series in (mu, lambda): the EGF of all L-shifted closed forms.
 
     Equals exp(mu*D) applied to the K-tuple closed form, D = x + 2y d/dx the
@@ -177,7 +180,7 @@ class RkSeries(namedtuple("RkSeries", "mu_coeffs")):
     coefficient recovers the L-shifted generating function.
     """
 
-    __slots__ = ()
+    mu_coeffs: tuple[LambdaSeries, ...]
 
     def hkl(self, L: int) -> LambdaSeries:
         """L! * [mu^L], the L-shifted lacunary generating function."""

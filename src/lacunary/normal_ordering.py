@@ -23,6 +23,7 @@ normal-ordering theorem.
 from __future__ import annotations
 
 from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .hermite import fact
@@ -42,8 +43,13 @@ class SemiLinearOp(namedtuple("SemiLinearOp", "q v")):
         return BivarPoly.dot(((self.q, f.diff_x()), (self.v, f)))
 
 
-# the truncated mu-series of the substitution function T and the prefactor g
-NormalOrderResult = namedtuple("NormalOrderResult", "T_series g_series")
+# a dataclass, not a named tuple: bench/selftest.py rebuilds it with dataclasses.replace
+@dataclass(frozen=True)
+class NormalOrderResult:
+    """Truncated mu-series for the substitution function T and prefactor g."""
+
+    T_series: LambdaSeries
+    g_series: LambdaSeries
 
 
 def _x_coefficients(p: BivarPoly) -> dict[int, BivarPoly]:

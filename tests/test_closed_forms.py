@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+from dataclasses import is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 
 from lacunary import (
     BivarPoly,
+    NormalOrderResult,
+    RkSeries,
     closed_form_HKL,
     closed_form_plan,
     dilate_bruteforce,
@@ -148,13 +151,17 @@ def test_closed_forms_imports_nothing_from_operators():
     assert not [m for m in sources if m.split(".")[-1] == "operators"], sources
 
 
-def test_package_imports_neither_dataclasses_nor_typing():
-    # the value types are named tuples and __slots__ classes, so a cold start loads
-    # neither module; the source is read, not sys.modules, which site may have filled
+def test_package_imports_no_typing_and_dataclasses_only_for_two_results():
+    # the value types are named tuples and __slots__ classes, except RkSeries and
+    # NormalOrderResult, which the benchmark self-test rebuilds with dataclasses.replace;
+    # the source is read, not sys.modules, which site may have filled
+    importers = {}
     for path in sorted(Path(closed_forms.__file__).parent.glob("*.py")):
-        sources = imported_modules(path)
-        assert not [m for m in sources if m.split(".")[0] in ("dataclasses", "typing")], (
-            path.name, sources)
+        for m in imported_modules(path):
+            importers.setdefault(m.split(".")[0], []).append(path.name)
+    assert "typing" not in importers, importers["typing"]
+    assert importers.get("dataclasses") == ["closed_forms.py", "normal_ordering.py"]
+    assert is_dataclass(RkSeries) and is_dataclass(NormalOrderResult)
 
 
 class TestClosedFormHK0:
