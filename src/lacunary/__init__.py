@@ -45,7 +45,6 @@ from .series import (
     TruncationUnderflowError,
 )
 from .verify import (
-    VerifyConfig,
     random_dense_table,
     run_verification,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "RkSeries",
     "SemiLinearOp",
     "TruncationUnderflowError",
-    "VerifyConfig",
     "apply_exp_op",
     "closed_form_HKL",
     "closed_form_plan",

@@ -26,14 +26,10 @@ from .hermite import hermite_egf, hermite_poly
 from .normal_ordering import SemiLinearOp, normal_order
 from .operators import dilate_bruteforce, shift
 from .series import BivarPoly, LambdaSeries
-from .verify import VerifyConfig, check_cap, run_verification
+from .verify import check_cap, run_verification
 
 
 INT_STR_DIGITS = 4300  # Python's default limit on int-to-str conversion
-
-
-class UsageError(ValueError):
-    pass
 
 
 def _open(path: str, mode: str = "r"):
@@ -41,7 +37,7 @@ def _open(path: str, mode: str = "r"):
     try:
         return open(path, mode)
     except OSError as exc:
-        raise UsageError(f"cannot open {path}: {exc.strerror}") from None
+        raise ValueError(f"cannot open {path}: {exc.strerror}") from None
 
 
 def _parse(what: str, parse, text: str):
@@ -49,7 +45,7 @@ def _parse(what: str, parse, text: str):
     try:
         return parse(text)
     except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
-        raise UsageError(f"malformed {what}: {exc!r}") from None
+        raise ValueError(f"malformed {what}: {exc!r}") from None
 
 
 def _render(obj, fmt: str = "json") -> str:
@@ -79,19 +75,20 @@ def run_verify(args) -> int:
         given = [f for f in ("lmin", "lmax", "nmax", "seed") if getattr(args, f) is not None]
         if given:
             flags = ", ".join("--" + f for f in given)
-            raise UsageError(f"the default sweep takes no {flags}; give --kmin or --kmax")
+            raise ValueError(f"the default sweep takes no {flags}; give --kmin or --kmax")
         # the default sweep: K = 3 and 4 to n = 16, K = 5 to n = 15, all at L = 0
-        cfg = VerifyConfig({3: 16, 4: 16, 5: 15})
+        report = run_verification({3: 16, 4: 16, 5: 15})
     else:
         k_min = 2 if args.kmin is None else args.kmin
         k_max = k_min if args.kmax is None else args.kmax
+        if k_max < k_min:
+            raise ValueError(f"--kmax {k_max} is below --kmin {k_min}: the K range is empty")
         n_max = 6 if args.nmax is None else args.nmax
         # clipped to 0..13, so a huge range is never built; an end outside 1..12 keeps
-        # 0 or 13 (or no K at all) in the sweep, which VerifyConfig refuses
+        # 0 or 13 (or no K at all) in the sweep, which run_verification refuses
         ks = range(max(k_min, 0), min(k_max, 13) + 1)
-        cfg = VerifyConfig({K: n_max for K in ks}, l_min=args.lmin or 0,
-                           l_max=args.lmax or 0, seed=args.seed or 0)
-    report = run_verification(cfg)
+        report = run_verification({K: n_max for K in ks}, l_min=args.lmin or 0,
+                                  l_max=args.lmax or 0, seed=args.seed or 0)
     if args.out:
         with _open(args.out, "w") as fh:
             json.dump(report, fh, indent=2)
@@ -160,7 +157,7 @@ def _exact_inputs(args, top: int) -> list[Fraction]:
     s = sum(widths.values())
     if max(top, 1) * (s + 1 + _digits(top)) > INT_STR_DIGITS:
         widest = max(widths, key=widths.get)
-        raise UsageError(f"{widest} is too long: the exact partial sum to H_{top} could pass "
+        raise ValueError(f"{widest} is too long: the exact partial sum to H_{top} could pass "
                          f"{INT_STR_DIGITS} digits; shorten {widest} or lower --terms")
     return values
 

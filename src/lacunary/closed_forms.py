@@ -151,8 +151,6 @@ def _evaluate_plan(plan: ClosedFormPlan, L: int, order: int) -> LambdaSeries:
             upper = [(u + K * s, br.den) for u in br.upper]
             block = pfq_series(upper, lower, (br.arg_coef, 1), (order - p0) // lp + 1)
             for t, (bn, bd) in enumerate(block):
-                if not bn:
-                    break  # an upper parameter reached 0: so do all later terms
                 bn *= ratio
                 acc = sums[p0 + t * lp].setdefault(bd * p0_fact, {})
                 ty = t * yp_step
@@ -194,7 +192,7 @@ def rk_series(K: int, mu_order: int, lambda_order: int) -> RkSeries:
     K-tuple closed form, D = x + 2y d/dx applied once per mu-power."""
     if mu_order < 0 or lambda_order < 0:
         raise ValueError("orders must be >= 0")
-    raising = SemiLinearOp(q=BivarPoly.monomial(2, 0, 1), v=BivarPoly.x())
+    raising = SemiLinearOp(q=BivarPoly.monomial(2, 0, 1), v=BivarPoly.monomial(1, 1, 0))
     mu_coeffs = exp_action(
         lambda g: LambdaSeries(lambda_order, [raising.apply(c) for c in g.coeffs]),
         closed_form_HKL(K, 0, lambda_order), mu_order)

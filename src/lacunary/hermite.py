@@ -67,7 +67,7 @@ def hermite_egf(order: int) -> LambdaSeries:
                                 for n in range(order + 1)])
 
 
-_ZERO = BivarPoly.zero()
+_ZERO = BivarPoly()
 
 
 def _hermite_entry(r: int, m: int) -> BivarPoly:

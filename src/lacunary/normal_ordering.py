@@ -64,7 +64,7 @@ def compose(p: BivarPoly, series: LambdaSeries) -> LambdaSeries:
     """Substitute the series for x in p (y passes through unchanged):
     sum_a series^a * p_a(y), where p_a(y) multiplies x^a in p."""
     p_a = _x_coefficients(p)
-    powers = [LambdaSeries.one(series.order)]
+    powers = [LambdaSeries(series.order, [1] + [0] * series.order)]
     for _ in range(max(p_a, default=0)):
         powers.append(powers[-1] * series)
     return LambdaSeries(series.order, [
@@ -84,9 +84,9 @@ def normal_order(op: SemiLinearOp, order: int) -> NormalOrderResult:
         raise ValueError("order must be >= 0")
     q_a, v_a = _x_coefficients(op.q), _x_coefficients(op.v)
     dot = BivarPoly.dot
-    t, g, w = [BivarPoly.x()], [BivarPoly.constant(1)], []
+    t, g, w = [BivarPoly.monomial(1, 1, 0)], [BivarPoly.monomial(1, 0, 0)], []
     # powers[a][k] = [mu^k] T^a: T^0 = 1 and T^1 = T
-    powers = [[g[0]] + [BivarPoly.zero()] * order, t]
+    powers = [[g[0]] + [BivarPoly()] * order, t]
     powers += [[] for _ in range(2, max((*q_a, *v_a), default=1) + 1)]
     for k in range(order):
         for a in range(2, len(powers)):

@@ -62,12 +62,6 @@ class Branch(namedtuple("Branch", "x_offset m_step m_offset")):
 
     __slots__ = ()
 
-    def m_parity(self) -> int:
-        """Parity of the second index; well-defined when m_step is even."""
-        if self.m_step % 2 != 0:
-            raise ValueError("branch has mixed second-index parity")
-        return self.m_offset % 2
-
 
 def _resum(table: CoeffTable, K: int, branches: tuple[Branch, ...],
            order: int) -> LambdaSeries:
@@ -120,8 +114,8 @@ def parity_split_branches(K: int) -> tuple[tuple[Branch, ...], tuple[Branch, ...
         families += [Branch(br.x_offset, halves * br.m_step, br.m_offset + j * br.m_step)
                      for j in range(halves)]
     families.sort(key=lambda br: br.m_offset)
-    even = tuple(br for br in families if br.m_parity() == 0)
-    return even, tuple(br for br in families if br.m_parity() == 1)
+    even = tuple(br for br in families if br.m_offset % 2 == 0)
+    return even, tuple(br for br in families if br.m_offset % 2 == 1)
 
 
 def resum_lemma1(table: CoeffTable, K: int, order: int) -> LambdaSeries:

@@ -91,22 +91,10 @@ class BivarPoly:
         return out
 
     @classmethod
-    def zero(cls) -> "BivarPoly":
-        return cls.from_numerators({})
-
-    @classmethod
-    def constant(cls, c) -> "BivarPoly":
-        return cls.monomial(c, 0, 0)
-
-    @classmethod
     def monomial(cls, c, xp: int, yp: int) -> "BivarPoly":
         """c * x^xp * y^yp for an int or Fraction c."""
         key = _exponents(xp, yp)
         return cls.from_numerators({key: c.numerator} if _exact(c) else {}, c.denominator)
-
-    @classmethod
-    def x(cls) -> "BivarPoly":
-        return cls.from_numerators({(1, 0): 1})
 
     @staticmethod
     def dot(pairs) -> "BivarPoly":
@@ -141,7 +129,7 @@ class BivarPoly:
 
     def __add__(self, other):
         if isinstance(other, (Fraction, int)):
-            other = BivarPoly.constant(other)
+            other = BivarPoly.monomial(other, 0, 0)
         if not isinstance(other, BivarPoly):
             return NotImplemented
         return BivarPoly.dot(((self, _ONE), (other, _ONE)))
@@ -153,7 +141,7 @@ class BivarPoly:
 
     def __sub__(self, other):
         if isinstance(other, (Fraction, int)):
-            other = BivarPoly.constant(other)
+            other = BivarPoly.monomial(other, 0, 0)
         if not isinstance(other, BivarPoly):
             return NotImplemented
         return self + (-other)
@@ -164,7 +152,7 @@ class BivarPoly:
     def __mul__(self, other):
         if isinstance(other, (Fraction, int)):
             if not other:
-                return BivarPoly.zero()
+                return BivarPoly()
             n = other.numerator
             return BivarPoly.from_numerators({k: v * n for k, v in self.num.items()},
                                              self.den * other.denominator)
@@ -176,7 +164,7 @@ class BivarPoly:
 
     def __eq__(self, other):
         if isinstance(other, (Fraction, int)):
-            other = BivarPoly.constant(other)
+            other = BivarPoly.monomial(other, 0, 0)
         if not isinstance(other, BivarPoly):
             return NotImplemented
         return self.den == other.den and self.num == other.num
@@ -251,7 +239,7 @@ class BivarPoly:
         return f"BivarPoly({self})"
 
 
-_ONE = BivarPoly.constant(1)
+_ONE = BivarPoly.monomial(1, 0, 0)
 
 
 def _merge(by_den: dict) -> BivarPoly:
@@ -282,7 +270,7 @@ class LambdaSeries:
         if order < 0:
             raise ValueError("series order must be non-negative")
         if coeffs is None:
-            coeffs = [BivarPoly.zero()] * (order + 1)
+            coeffs = [BivarPoly()] * (order + 1)
         else:
             coeffs = list(coeffs)
             if len(coeffs) != order + 1:
@@ -290,17 +278,11 @@ class LambdaSeries:
                     f"expected {order + 1} coefficients, got {len(coeffs)}"
                 )
             coeffs = [
-                c if isinstance(c, BivarPoly) else BivarPoly.constant(c)
+                c if isinstance(c, BivarPoly) else BivarPoly.monomial(c, 0, 0)
                 for c in coeffs
             ]
         self.order = order
         self.coeffs = coeffs
-
-    @classmethod
-    def one(cls, order: int) -> "LambdaSeries":
-        coeffs = [BivarPoly.zero()] * (order + 1)
-        coeffs[0] = BivarPoly.constant(1)
-        return cls(order, coeffs)
 
     @classmethod
     def collect(cls, sums: list) -> "LambdaSeries":

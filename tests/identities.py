@@ -61,8 +61,8 @@ def crofton_check(m: int, y_coef, f: BivarPoly, g: BivarPoly, order: int) -> boo
 
     def x_op(series: LambdaSeries) -> LambdaSeries:
         # (x + m*c*mu*d^(m-1)) acting on a mu-series of polynomials
-        mu_deriv = [BivarPoly.zero()] + [p.diff_x(m - 1) * (m * c) for p in series.coeffs[:-1]]
-        return series * BivarPoly.x() + LambdaSeries(series.order, mu_deriv)
+        mu_deriv = [BivarPoly()] + [p.diff_x(m - 1) * (m * c) for p in series.coeffs[:-1]]
+        return series * BivarPoly.monomial(1, 1, 0) + LambdaSeries(series.order, mu_deriv)
 
     # right: sum_a x_op^a (exp(c mu d^m) g) * f_a(y), where f_a(y) multiplies x^a in f
     right, power = LambdaSeries(order), exp_deriv(g)
@@ -79,18 +79,18 @@ def normal_order_by_definition(op: SemiLinearOp, order: int) -> tuple[LambdaSeri
     d(ln g)/dmu = v(T): T_(k+1) = [mu^k] q(T) / (k+1), with q(T) composed afresh
     from the first k + 1 coefficients of T at every order k, and g the power sum
     of exp(ln g)."""
-    t = [BivarPoly.x()]
+    t = [BivarPoly.monomial(1, 1, 0)]
     for k in range(order):
         t.append(compose(op.q, LambdaSeries(k, t)).coeffs[k] * Fraction(1, k + 1))
     T = LambdaSeries(order, t)
     vT = compose(op.v, T)
-    log_g = [BivarPoly.zero()] + [vT.coeffs[j] * Fraction(1, j + 1) for j in range(order)]
+    log_g = [BivarPoly()] + [vT.coeffs[j] * Fraction(1, j + 1) for j in range(order)]
     return T, power_sum_exp(LambdaSeries(order, log_g))
 
 
 def power_sum_exp(a: LambdaSeries) -> LambdaSeries:
     """exp(a) by its definition: the sum of a^j / j! over j <= order."""
-    total, power = LambdaSeries.one(a.order), LambdaSeries.one(a.order)
+    total = power = LambdaSeries(a.order, [1] + [0] * a.order)
     for j in range(1, a.order + 1):
         power = power * a
         total = total + power * Fraction(1, factorial(j))

@@ -1,5 +1,6 @@
 """CLI surface: subcommand behavior, determinism, report round-trips."""
 
+import hashlib
 import io
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import lacunary
 from lacunary.cli import main
-from lacunary.verify import VerifyConfig, run_verification
+from lacunary.verify import run_verification
 
 
 CAPPED = [
@@ -30,10 +31,59 @@ CAPPED = [
 # stdin of every capped command: an all-zero series, which dilate and shift read
 ZERO_SERIES = json.dumps({"order": 10000, "coeffs": [[]] * 10001})
 
+Q1, V1 = '[{"xp":0,"yp":1,"num":"2","den":"1"}]', '[{"xp":1,"yp":0,"num":"1","den":"1"}]'
+Q2 = '[{"xp":2,"yp":1,"num":"1","den":"2"},{"xp":0,"yp":0,"num":"3","den":"1"}]'
+V2 = '[{"xp":3,"yp":0,"num":"-1","den":"3"},{"xp":1,"yp":1,"num":"1","den":"1"}]'
+# SHA-256 of the stdout of each command, as the code printed it when the pins were taken
+PINNED = {
+    ("closed-form", "5", "--format", "plan"):
+        "14fd8f2526d5a6464303980a8190dcc24a96207e37afb504dfa7ed5dc99360cc",
+    ("closed-form", "1", "--format", "plan"):
+        "e0ab6a72c872830026c3d295bd440d867fe922cec10267179735054c8a517cd9",
+    ("closed-form", "4", "--order", "5", "--format", "json"):
+        "c57a51835fff019f4e9eb9245ec6649c99ca7a4e056135b2345a26e45f3be9e6",
+    ("closed-form", "1", "2", "--order", "6", "--format", "json"):
+        "88748a039afc4675ccd0c4c8ad7a3a8adf31ecc9b7908521a493216d3c6ee059",
+    ("closed-form", "7", "2", "--order", "6", "--format", "json"):
+        "19e7b2532b21ea40c0ce4131006e0970564f29ba0f2ac69f6ca9f31dd8cf3beb",
+    ("closed-form", "3", "1", "--order", "5"):
+        "f2e5c9d0acc1d660c19a2cbece5d58ba349dc6fc7b961fcc2069ddcd41899f02",
+    ("hermite", "30", "--format", "json"):
+        "5c73d66663b4b85a8076498f3bd0c579df68ed31b06fc58bc23b832423efed96",
+    ("normal-order", "--q", Q1, "--v", V1, "--order", "12"):
+        "c85d05516382d2ec2f219f218271489192b91dd7e0dfb35c4a46d99fe038f244",
+    ("normal-order", "--q", Q2, "--v", V2, "--order", "8"):
+        "1a57ff896ee341c89cabaa071a90e6493f30e7ee6889a314caed39ce75a2d0d2",
+}
+# emit egf --order 6, then dilate 2 and shift 1, each reading the one before through --in
+PINNED_CHAIN = [
+    (("emit", "egf", "--order", "6"),
+     "66a3749eaf161ebaf6935451d77ff50f4a0e0155b4100b3c1757043bdc58dd9c"),
+    (("dilate", "2"), "7d5ce190bdc0b90dc0afcedb5bc98acde369edaccb9049e5a43ad2c790df2871"),
+    (("shift", "1"), "2d3ccb9a27655709f62b67ab116f5fd25e5d45bd0bbe9f2df33245e73edb2944"),
+]
+
 
 def stdout_of(capsys, *argv: str) -> str:
     assert main(list(argv)) == 0
     return capsys.readouterr().out
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_outputs_are_pinned(capsys, tmp_path):
+    # exact arithmetic prints the same bytes on every run and after every refactor
+    for argv, digest in PINNED.items():
+        assert sha256(stdout_of(capsys, *argv)) == digest, argv
+    infile = []
+    for i, (argv, digest) in enumerate(PINNED_CHAIN):
+        text = stdout_of(capsys, *argv, *infile)
+        assert sha256(text) == digest, argv
+        path = tmp_path / f"stage{i}.json"
+        path.write_text(text)
+        infile = ["--in", str(path)]
 
 
 class TestEmitSeries:
@@ -92,33 +142,37 @@ class TestVerify:
 
     def test_config_cap(self):
         with pytest.raises(ValueError):
-            VerifyConfig({K: 20 for K in range(2, 13)})
+            run_verification({K: 20 for K in range(2, 13)})
 
     def test_k_range_bounds(self):
         # the dict is the whole sweep: an empty one, or one K outside 1..12, is refused
         for n_max in ({K: 6 for K in range(0, 4)}, {}, {3: 2, 13: 1}):
             with pytest.raises(ValueError, match=r"K range must lie within \[1, 12\]"):
-                VerifyConfig(n_max)
+                run_verification(n_max)
 
     def test_huge_k_range_is_refused_unbuilt(self, capsys, monkeypatch):
-        # the CLI hands VerifyConfig at most the Ks 0..13, whatever the range
+        # the CLI hands run_verification at most the Ks 0..13, whatever the range
         sizes = []
 
-        def config(n_max, **kw):
+        def verification(n_max, **kw):
             sizes.append(len(n_max))
-            return VerifyConfig(n_max, **kw)
+            return run_verification(n_max, **kw)
 
-        monkeypatch.setattr("lacunary.cli.VerifyConfig", config)
+        monkeypatch.setattr("lacunary.cli.run_verification", verification)
         for kmin, kmax in (("-1000000000000", "1000000000000"), ("5", "1000000000000"),
-                           ("-1000000000000", "-5"), ("4", "3")):
+                           ("-1000000000000", "-5")):
             assert main(["verify", "--kmin", kmin, "--kmax", kmax]) == 2
             assert capsys.readouterr().err == "error: K range must lie within [1, 12]\n"
-        assert sizes == [14, 9, 0, 0]
+        # an empty range is refused by name, before any sweep is built
+        assert main(["verify", "--kmin", "4", "--kmax", "3"]) == 2
+        assert capsys.readouterr().err == ("error: --kmax 3 is below --kmin 4: "
+                                           "the K range is empty\n")
+        assert sizes == [14, 9, 0]
 
     def test_negative_n_max_names_the_field(self):
         for n_max in ({2: -1, 3: -1}, {2: 3, 3: -1}):
             with pytest.raises(ValueError, match="n_max"):
-                VerifyConfig(n_max)
+                run_verification(n_max)
 
     def test_appendix_sweep_passes(self, capsys, monkeypatch):
         # the default sweep reaches H_75 (K = 5, n = 15), so a cap of 75 admits it
@@ -130,11 +184,11 @@ class TestVerify:
         # n_max * K + l_max = 12, but the resummation checks build H_60
         monkeypatch.setenv("LACUNAE_CAP", "20")
         with pytest.raises(ValueError, match="LACUNAE_CAP"):
-            VerifyConfig({12: 1})
+            run_verification({12: 1})
 
     def test_determinism_modulo_timing(self):
-        cfg = VerifyConfig({2: 2}, seed=5)
-        assert run_verification(cfg)["cases"] == run_verification(cfg)["cases"]
+        first, second = (run_verification({2: 2}, seed=5) for _ in range(2))
+        assert first["cases"] == second["cases"]
 
     @pytest.mark.parametrize("flag", ["--lmin", "--lmax", "--nmax", "--seed"])
     def test_range_flags_need_a_k_range(self, flag, capsys):
@@ -147,8 +201,7 @@ class TestVerify:
         # with a K range the flags keep their defaults: L = 0, n up to 6, seed 0
         out = tmp_path / "report.json"
         assert main(["verify", "--kmax", "3", "--out", str(out)]) == 0
-        cfg = VerifyConfig({2: 6, 3: 6}, l_min=0, l_max=0, seed=0)
-        expected = run_verification(cfg)["cases"]
+        expected = run_verification({2: 6, 3: 6}, l_min=0, l_max=0, seed=0)["cases"]
         assert json.loads(out.read_text())["cases"] == expected
 
     def test_failing_case_is_reported(self, capsys, monkeypatch, tmp_path):

@@ -166,7 +166,7 @@ def test_package_imports_no_typing_and_dataclasses_only_for_two_results():
 
 class TestClosedFormHK0:
     def test_constant_term(self):
-        assert closed_form_HKL(3, 0, 4).coeffs[0] == BivarPoly.constant(1)
+        assert closed_form_HKL(3, 0, 4).coeffs[0] == BivarPoly.monomial(1, 0, 0)
 
     def test_k1_is_the_egf(self):
         assert closed_form_HKL(1, 0, 6) == hermite_egf(6)

@@ -35,7 +35,7 @@ def classical_hermite(n):
 
 class TestHermitePoly:
     def test_h0_is_one(self):
-        assert hermite_poly(0) == BivarPoly.constant(1)
+        assert hermite_poly(0) == BivarPoly.monomial(1, 0, 0)
 
     def test_h2(self):
         assert hermite_poly(2) == BivarPoly({(2, 0): 1, (0, 1): 2})
@@ -75,7 +75,7 @@ class TestHermitePoly:
 
     def test_recurrence(self):
         # H_(n+1) = x H_n + 2 y n H_(n-1), derived from the EGF, over the default cap range
-        x, y = BivarPoly.x(), BivarPoly.monomial(1, 0, 1)
+        x, y = BivarPoly.monomial(1, 1, 0), BivarPoly.monomial(1, 0, 1)
         for n in range(1, 120):
             assert hermite_poly(n + 1) == x * hermite_poly(n) + y * (
                 2 * n
@@ -84,7 +84,7 @@ class TestHermitePoly:
 
 class TestHermiteEgf:
     def test_constant_term(self):
-        assert hermite_egf(3).coeffs[0] == BivarPoly.constant(1)
+        assert hermite_egf(3).coeffs[0] == BivarPoly.monomial(1, 0, 0)
 
     def test_second_coefficient(self):
         assert hermite_egf(3).coeffs[2] * fact(2) == hermite_poly(2)
@@ -117,7 +117,7 @@ class TestCoeffTable:
         # sum_r x^r sum_m lambda^(r+m)/(r+m)! g_{r,m}(y), summed term by term.
         table = hermite_coeff_table()
         for order in (5, 12, 20):
-            coeffs = [BivarPoly.zero() for _ in range(order + 1)]
+            coeffs = [BivarPoly() for _ in range(order + 1)]
             for r in range(order + 1):
                 for m in range(order + 1 - r):
                     coeffs[r + m] += (BivarPoly.monomial(Fraction(1, fact(r + m)), r, 0)

@@ -91,7 +91,7 @@ class TestResummation:
                    for r in range(top + 1) for m in range(top + 1 - r)}
         table = CoeffTable(generator=lambda r, m: entries[r, m], name="random")
         # the EGF sum_r x^r sum_m lambda^(r+m)/(r+m)! g_{r,m}(y), summed term by term
-        coeffs = [BivarPoly.zero() for _ in range(K * n + 1)]
+        coeffs = [BivarPoly() for _ in range(K * n + 1)]
         for r in range(K * n + 1):
             for m in range(K * n + 1 - r):
                 coeffs[r + m] += (BivarPoly.monomial(Fraction(1, fact(r + m)), r, 0)
@@ -115,8 +115,8 @@ class TestResummation:
     def test_branch_parities_are_pure(self):
         for K in range(1, 9):
             even_br, odd_br = parity_split_branches(K)
-            assert all(b.m_parity() == 0 for b in even_br)
-            assert all(b.m_parity() == 1 for b in odd_br)
+            assert all(b.m_step % 2 == 0 and b.m_offset % 2 == 0 for b in even_br)
+            assert all(b.m_step % 2 == 0 and b.m_offset % 2 == 1 for b in odd_br)
 
     def test_k4_even_branch_structure(self):
         # the two even families: r = 4s with m = 4q, and r = 4s+2 with m = 4q+2
