@@ -3,7 +3,8 @@
 Subcommands: verify, hermite, closed-form, dilate, shift, normal-order,
 nieto-truax, emit.  Series travel as JSON (string-encoded integer
 numerators/denominators); text output is canonically ordered and therefore
-byte-deterministic for identical inputs.
+byte-deterministic for identical inputs.  Each handler imports what it
+calls, so a command loads only the modules of the package that it runs.
 """
 
 from __future__ import annotations
@@ -16,17 +17,7 @@ import sys
 from contextlib import nullcontext
 from fractions import Fraction
 
-from .closed_forms import (
-    closed_form_HKL,
-    closed_form_plan,
-    nieto_truax,
-    nieto_truax_partial_sum,
-)
-from .hermite import hermite_egf, hermite_poly
-from .normal_ordering import SemiLinearOp, normal_order
-from .operators import dilate_bruteforce, shift
-from .series import BivarPoly, LambdaSeries
-from .verify import check_cap, run_verification
+from .hermite import check_cap
 
 
 INT_STR_DIGITS = 4300  # Python's default limit on int-to-str conversion
@@ -60,8 +51,9 @@ def _write(out: str | None, text: str) -> int:
     return 0
 
 
-def _read_series(path: str) -> LambdaSeries:
+def _read_series(path: str):
     """The series JSON at path ("-" is stdin), capped by its order."""
+    from .series import LambdaSeries
     with nullcontext(sys.stdin) if path == "-" else _open(path) as fh:
         text = fh.read()
     series = _parse("series JSON", lambda t: LambdaSeries.from_json(json.loads(t)), text)
@@ -71,6 +63,7 @@ def _read_series(path: str) -> LambdaSeries:
 
 def run_verify(args) -> int:
     """Print the sweep's summary and return its exit status; --out names the report."""
+    from .verify import run_verification
     if args.kmin is None and args.kmax is None:
         given = [f for f in ("lmin", "lmax", "nmax", "seed") if getattr(args, f) is not None]
         if given:
@@ -100,11 +93,13 @@ def run_verify(args) -> int:
 
 
 def run_hermite(args) -> str:
+    from .hermite import hermite_poly
     check_cap(args.n)
     return _render(hermite_poly(args.n), args.format)
 
 
 def run_closed_form(args) -> str:
+    from .closed_forms import closed_form_HKL, closed_form_plan
     if args.format == "plan":  # the plan depends on K alone
         check_cap(args.K)
         return _render(closed_form_plan(args.K))
@@ -113,19 +108,24 @@ def run_closed_form(args) -> str:
 
 
 def run_emit(args) -> str:
+    from .hermite import hermite_egf
     check_cap(args.order)
     return _render(hermite_egf(args.order), args.format)
 
 
 def run_dilate(args) -> str:
+    from .operators import dilate_bruteforce
     return _render(dilate_bruteforce(_read_series(args.infile), args.K))
 
 
 def run_shift(args) -> str:
+    from .operators import shift
     return _render(shift(_read_series(args.infile), args.L))
 
 
 def run_normal_order(args) -> str:
+    from .normal_ordering import SemiLinearOp, normal_order
+    from .series import BivarPoly
     q, v = (_parse(f"--{name}", lambda t: BivarPoly.from_json(json.loads(t)), text)
             for name, text in (("q", args.q), ("v", args.v)))
     check_cap(args.order * max(1, q.degree_x(), v.degree_x()))
@@ -167,6 +167,8 @@ def run_nieto_truax(args) -> str:
     check_cap(max(args.K, top))  # the numeric path sums K exponentials
     lam, x, y = _exact_inputs(args, top)
     import mpmath
+
+    from .closed_forms import nieto_truax, nieto_truax_partial_sum
 
     value = nieto_truax(args.K, args.L, lam, x, y, precision_bits=args.bits)
     oracle = nieto_truax_partial_sum(args.K, args.L, lam, x, y, args.terms)

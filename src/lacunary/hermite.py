@@ -9,15 +9,33 @@ that EGF first in x and then in lambda yields the double-expansion
 coefficients g_{r,m}(y), which vanish for odd m and equal
 (r+2m)! y^m / (r! m!) at even second index 2m.  These coefficients are the
 sole input of the generic resummation algorithm in :mod:`lacunary.operators`.
+The size cap ``check_cap``, which every command applies before it builds
+anything, lives here too: it is the lowest module the commands share.
 """
 
 from __future__ import annotations
 
+import os
 from collections import namedtuple
 from functools import lru_cache
 from math import factorial
 
 from .series import BivarPoly, LambdaSeries
+
+DEFAULT_CAP = 120
+
+
+def check_cap(size: int) -> None:
+    """Reject a run larger than LACUNAE_CAP: its size is the largest Hermite index it
+    builds, for normal-order the order times the x-degree of q and v, and for
+    dilate and shift the order of the series they read."""
+    raw = os.environ.get("LACUNAE_CAP", DEFAULT_CAP)
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(f"LACUNAE_CAP must be an integer, got {raw!r}") from None
+    if size > cap:
+        raise ValueError(f"size {size} exceeds LACUNAE_CAP={cap} (set it higher)")
 
 
 @lru_cache(maxsize=None)

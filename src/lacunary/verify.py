@@ -7,35 +7,28 @@ gets three resummations checked against brute-force dilatation: Lemma 1
 and the parity split on the Hermite table, and Lemma 1 on a seeded dense
 table with no parity constraint.  On failure a report pinpoints the first
 differing monomial.
+
+The two sides of a check share no loop, but they do share some code.  For
+L > 0, closed_forms._evaluate_plan builds H_0 ... H_L with hermite_poly,
+which is also the oracle of coefficient_cases.  hermite_egf, the input of
+the brute-force dilatation, and hermite_poly both take their numerators
+from hermite._hermite_numerators: only tests/test_oracles.py and the
+recurrence test of tests/test_hermite.py check that helper from outside.
 """
 
 from __future__ import annotations
 
-import os
-import random
 import time
 from fractions import Fraction
 
 from .closed_forms import closed_form_HKL
-from .hermite import CoeffTable, fact, hermite_coeff_table, hermite_egf, hermite_poly
+from .hermite import (CoeffTable, check_cap, fact, hermite_coeff_table, hermite_egf,
+                      hermite_poly)
 from .operators import dilate_bruteforce, resum_corollary1, resum_lemma1
 from .series import BivarPoly, LambdaSeries
 
-DEFAULT_CAP = 120
 RESUM_ORDER = 5  # lambda-order of each K's resummation checks, which build H_(5K)
-
-
-def check_cap(size: int) -> None:
-    """Reject a run larger than LACUNAE_CAP: its size is the largest Hermite index it
-    builds, for normal-order the order times the x-degree of q and v, and for
-    dilate and shift the order of the series they read."""
-    raw = os.environ.get("LACUNAE_CAP", DEFAULT_CAP)
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"LACUNAE_CAP must be an integer, got {raw!r}") from None
-    if size > cap:
-        raise ValueError(f"size {size} exceeds LACUNAE_CAP={cap} (set it higher)")
+_MASK = (1 << 64) - 1
 
 
 def _case(K: int, L: int | None, n: int, diff_term: dict | None,
@@ -66,17 +59,25 @@ def first_diff_series(a: LambdaSeries, b: LambdaSeries) -> dict | None:
     return None
 
 
+def _mix(z: int) -> int:
+    """The splitmix64 finalizer: every bit of the 64-bit z moves every output bit."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+    return z ^ (z >> 31)
+
+
 def random_dense_table(seed: int) -> CoeffTable:
-    """A full-support table with deterministic pseudo-random entries."""
+    """A full-support table with deterministic pseudo-random entries: each entry
+    num/den * y^yp, num in -9..9 (0 leaves it empty), den in 1..6 and yp in 0..2,
+    comes from one hash of (seed, r, m), so it reads in any order at the same cost."""
+    key = _mix(seed & _MASK)
 
     def gen(r: int, m: int) -> BivarPoly:
-        rng = random.Random(f"{seed}:{r}:{m}")
-        num = rng.randint(-9, 9)
+        h = _mix((_mix((key + r) & _MASK) + m) & _MASK)
+        num = h % 19 - 9
         if num == 0:
             return BivarPoly()
-        den = rng.randint(1, 6)
-        yp = rng.randint(0, 2)
-        return BivarPoly.monomial(Fraction(num, den), 0, yp)
+        return BivarPoly.monomial(Fraction(num, h // 19 % 6 + 1), 0, h // 114 % 3)
 
     return CoeffTable(generator=gen, name=f"dense-seed{seed}")
 

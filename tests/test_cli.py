@@ -1,6 +1,7 @@
 """CLI surface: subcommand behavior, determinism, report round-trips."""
 
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -34,6 +35,32 @@ ZERO_SERIES = json.dumps({"order": 10000, "coeffs": [[]] * 10001})
 Q1, V1 = '[{"xp":0,"yp":1,"num":"2","den":"1"}]', '[{"xp":1,"yp":0,"num":"1","den":"1"}]'
 Q2 = '[{"xp":2,"yp":1,"num":"1","den":"2"},{"xp":0,"yp":0,"num":"3","den":"1"}]'
 V2 = '[{"xp":3,"yp":0,"num":"-1","den":"3"},{"xp":1,"yp":1,"num":"1","den":"1"}]'
+# a fresh process that runs one command (or none: import lacunary alone), then prints
+# the lacunary.* modules it loaded, and mpmath if it did
+LOADED = """
+import json, sys, lacunary
+status = 0
+if sys.argv[1:]:
+    from lacunary.cli import main
+    status = main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m == "mpmath" or m.startswith("lacunary."))))
+sys.exit(status)
+"""
+# stdin of the commands in LOADS: a small zero series, which dilate and shift read
+SMALL_SERIES = json.dumps({"order": 4, "coeffs": [[]] * 5})
+LOADS = {
+    (): [],
+    ("hermite", "45"): ["cli", "hermite", "series"],
+    ("emit", "egf", "--order", "6"): ["cli", "hermite", "series"],
+    ("dilate", "2"): ["cli", "hermite", "operators", "series"],
+    ("shift", "1"): ["cli", "hermite", "operators", "series"],
+    ("normal-order", "--q", Q1, "--v", V1): ["cli", "hermite", "normal_ordering", "series"],
+    ("closed-form", "4", "1", "--format", "json"):
+        ["cli", "closed_forms", "hermite", "hypergeom", "normal_ordering", "series"],
+    ("verify", "--kmin", "2", "--nmax", "1"): ["cli", "closed_forms", "hermite", "hypergeom",
+                                                "normal_ordering", "operators", "series",
+                                                "verify"],
+}
 # SHA-256 of the stdout of each command, as the code printed it when the pins were taken
 PINNED = {
     ("closed-form", "5", "--format", "plan"):
@@ -158,7 +185,7 @@ class TestVerify:
             sizes.append(len(n_max))
             return run_verification(n_max, **kw)
 
-        monkeypatch.setattr("lacunary.cli.run_verification", verification)
+        monkeypatch.setattr("lacunary.verify.run_verification", verification)
         for kmin, kmax in (("-1000000000000", "1000000000000"), ("5", "1000000000000"),
                            ("-1000000000000", "-5")):
             assert main(["verify", "--kmin", kmin, "--kmax", kmax]) == 2
@@ -250,13 +277,23 @@ class TestSubcommands:
         out = json.loads(capsys.readouterr().out)
         assert out["real"].startswith("1.0")
 
-    def test_import_leaves_mpmath_unloaded(self):
-        # only nieto-truax needs mpmath; every other command starts without it
+    @pytest.mark.parametrize("argv", LOADS, ids=[a[0] if a else "import" for a in LOADS])
+    def test_fresh_process_loads_only_its_modules(self, argv):
+        # only nieto-truax needs mpmath, and each command loads only the modules it runs;
+        # stdlib modules are not asserted on, since site may load any of them
         env = dict(os.environ, PYTHONPATH=str(Path(lacunary.__file__).parents[1]))
-        code = "import sys, lacunary, lacunary.cli; print('mpmath' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=30)
-        assert proc.stdout.strip() == "False", proc.stderr
+        proc = subprocess.run([sys.executable, "-c", LOADED, *argv], env=env,
+                              input=SMALL_SERIES, capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [f"lacunary.{m}" for m in LOADS[argv]]
+
+    def test_public_names_resolve(self):
+        # each exported name loads from its home module; an unknown name is still an error
+        for name in lacunary.__all__:
+            home = importlib.import_module(getattr(lacunary, name).__module__)
+            assert getattr(home, name) is getattr(lacunary, name), name
+            assert name in dir(lacunary), name
+        assert not hasattr(lacunary, "no_such_name")
 
     def test_nieto_truax_loads_mpmath_in_a_fresh_process(self):
         # the deferred import, from a cold start as the installed script runs it
