@@ -8,9 +8,10 @@ with exponential generating function exp(lambda*x + lambda^2*y).  Expanding
 that EGF first in x and then in lambda yields the double-expansion
 coefficients g_{r,m}(y), which vanish for odd m and equal
 (r+2m)! y^m / (r! m!) at even second index 2m.  These coefficients are the
-sole input of the generic resummation algorithm in :mod:`lacunary.operators`.
-The size cap ``check_cap``, which every command applies before it builds
-anything, lives here too: it is the lowest module the commands share.
+sole input of the generic resummation algorithm in :mod:`lacunary.operators`,
+which reads them by rows (``CoeffTable.row``).  The size cap ``check_cap``,
+which every command applies before it builds anything, lives here too: it is
+the lowest module the commands share.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import os
 from collections import namedtuple
 from functools import lru_cache
-from math import factorial
+from math import factorial, perm
 
 from .series import BivarPoly, LambdaSeries
 
@@ -49,6 +50,7 @@ class CoeffTable(namedtuple("CoeffTable", "generator name", defaults=("table",))
 
     ``generator(r, m)`` computes entries on demand and returns zero where an
     entry vanishes (odd m for the Hermite table); ``name`` labels the table.
+    ``row(r, ms)`` lists the non-zero entries of one r over a range of m.
     """
 
     __slots__ = ()
@@ -57,6 +59,18 @@ class CoeffTable(namedtuple("CoeffTable", "generator name", defaults=("table",))
         if r < 0 or m < 0:
             raise ValueError("table indices must be non-negative")
         return self.generator(r, m)
+
+    def row(self, r: int, ms: range) -> list:
+        """The non-zero g_{r,m}, m in the increasing range ms, as (m, numerators,
+        denominator) triples, the layout of BivarPoly; by default entry by entry."""
+        if r < 0 or ms.start < 0:
+            raise ValueError("table indices must be non-negative")
+        gen, out = self.generator, []
+        for m in ms:  # a plain loop: a comprehension costs a call per row
+            g = gen(r, m)
+            if g.num:
+                out.append((m, g.num, g.den))
+        return out
 
 
 def _hermite_numerators(n: int) -> dict:
@@ -95,7 +109,28 @@ def _hermite_entry(r: int, m: int) -> BivarPoly:
     return BivarPoly.from_numerators({(0, half): fact(r + m) // (fact(r) * fact(half))})
 
 
+class _HermiteTable(CoeffTable):
+    """The Hermite table, whose rows skip odd m and build each entry by ratio."""
+
+    __slots__ = ()
+
+    def row(self, r: int, ms: range) -> list:
+        """Only the even m of ms: the first entry from factorials, each later one from
+        the one before, times (r+m)!/(r+m-step)! over the half-indices (m-step)/2+1..m/2."""
+        if r < 0 or ms.start < 0:
+            raise ValueError("table indices must be non-negative")
+        if ms.step % 2:
+            ms = ms[ms.start % 2::2]
+        elif ms.start % 2:
+            return []
+        out, c, step = [], None, ms.step
+        for m in ms:
+            c = (fact(r + m) // (fact(r) * fact(m // 2)) if c is None
+                 else c * perm(r + m, step) // perm(m // 2, step // 2))
+            out.append((m, {(0, m // 2): c}, 1))
+        return out
+
+
 def hermite_coeff_table() -> CoeffTable:
     """The Hermite EGF expansion table: zero off even m, (r+2m)! y^m/(r! m!) on it."""
-    return CoeffTable(generator=_hermite_entry, name="hermite")
-
+    return _HermiteTable(generator=_hermite_entry, name="hermite")

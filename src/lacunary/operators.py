@@ -13,11 +13,12 @@ with r and m running over fixed residue classes mod K.  Lemma 1 has one
 family per alpha = 0 ... K-1, r = -alpha and m = alpha mod K.  The
 parity-split variant (Corollary 1) splits each family whose m-step is odd
 into its even-t and odd-t halves and groups the families by the parity of m.
+Each family reads the table by rows, which list only non-zero entries.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 
 from .hermite import CoeffTable, fact
 from .series import LambdaSeries, TruncationUnderflowError
@@ -68,26 +69,24 @@ def _resum(table: CoeffTable, K: int, branches: tuple[Branch, ...],
     """Sum x^r lambda^p g_{r,m}(y) / p!, p = (r + m) / K, over the families.
 
     r + m < K * (order + 1) is exactly p <= order, and it bounds both loops.
-    Every index is >= 0 by construction, so entries are read straight from
-    table.generator, and an empty entry is skipped before any arithmetic.  A
-    non-empty entry fetches its bucket of LambdaSeries.collect, the one for
-    lambda^p and denominator g.den * p!, once and adds its numerators there.
+    Each family reads table.row(r, ms), the non-zero entries of r over its
+    range ms of m as (m, numerators, denominator), and adds each entry's
+    numerators into the bucket of lambda^p and den; each bucket of
+    LambdaSeries.collect then gets its denominator den * p! once.
     """
     end = K * (order + 1)
-    entry = table.generator
-    sums = [{} for _ in range(order + 1)]
-    for br in branches:
-        for r in range(br.x_offset, end, K):
-            for m in range(br.m_offset, end - r, br.m_step):
-                g = entry(r, m)
-                if not g.num:
-                    continue
+    row = table.row
+    sums = [defaultdict(dict) for _ in range(order + 1)]
+    for x_offset, m_step, m_offset in branches:
+        for r in range(x_offset, end - m_offset, K):
+            for m, num, den in row(r, range(m_offset, end - r, m_step)):
                 p = (r + m) // K
-                acc = sums[p].setdefault(g.den * fact(p), {})
-                for (xp, yp), c in g.num.items():
+                acc = sums[p][den]
+                for (xp, yp), c in num.items():
                     key = (r + xp, yp)
                     acc[key] = acc[key] + c if key in acc else c
-    return LambdaSeries.collect(sums)
+    return LambdaSeries.collect([{den * fact(p): acc for den, acc in by_den.items()}
+                                 for p, by_den in enumerate(sums)])
 
 
 def lemma1_branches(K: int) -> tuple[Branch, ...]:
@@ -128,7 +127,8 @@ def resum_corollary1(table: CoeffTable, K: int,
     """Parity-split resummation: (even second-index part, odd part).
 
     The two parts sum to the resum_lemma1 result for any table; for a
-    table supported on even m the odd part is the zero series.
+    table supported on even m the odd part is the zero series: its families
+    still read every row, and those rows are empty.
     """
     even_br, odd_br = parity_split_branches(K)
     return _resum(table, K, even_br, order), _resum(table, K, odd_br, order)

@@ -3,15 +3,20 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lacunary import (
     BivarPoly,
+    CoeffTable,
     LambdaSeries,
     fact,
     hermite_coeff_table,
     hermite_egf,
     hermite_poly,
+    random_dense_table,
 )
+from lacunary.hermite import _hermite_entry
 
 
 def classical_hermite(n):
@@ -123,3 +128,22 @@ class TestCoeffTable:
                     coeffs[r + m] += (BivarPoly.monomial(Fraction(1, fact(r + m)), r, 0)
                                       * table(r, m))
             assert LambdaSeries(order, coeffs) == hermite_egf(order)
+
+    @given(st.integers(0, 80), st.integers(0, 12), st.integers(0, 250), st.integers(1, 16))
+    @example(r=3, start=12, stop=12, step=2)
+    @example(r=0, start=7, stop=3, step=5)
+    @example(r=4, start=1, stop=200, step=4)
+    @settings(max_examples=300, deadline=None)
+    def test_row_matches_the_entries(self, r, start, stop, step):
+        # the ratio-built Hermite row, and the default row, against the entries one by one
+        ms = range(start, stop, step)
+        want = [(m, g.num, g.den) for m in ms for g in (_hermite_entry(r, m),) if g.num]
+        assert hermite_coeff_table().row(r, ms) == want
+        assert CoeffTable(generator=_hermite_entry).row(r, ms) == want
+
+    def test_row_refuses_negative_indices(self):
+        for table in (hermite_coeff_table(), random_dense_table(seed=1)):
+            for r, ms in ((-1, range(4)), (0, range(-2, 4)), (3, range(-1, 9, 2)),
+                          (2, range(-3, -1))):
+                with pytest.raises(ValueError, match="table indices must be non-negative"):
+                    table.row(r, ms)

@@ -106,6 +106,21 @@ class TestResummation:
             assert odd == LambdaSeries(5), K
             assert even == resum_lemma1(table, K, 5), K
 
+    @pytest.mark.parametrize("K, r0, m0", [(1, 0, 1), (2, 1, 1), (3, 2, 7), (4, 1, 3),
+                                           (5, 4, 11)])
+    def test_odd_part_reads_the_table(self, K, r0, m0):
+        # the Hermite table plus one planted odd-m entry: the odd part is that entry
+        # alone, at lambda^((r0 + m0) / K), so the odd families are read, not skipped
+        hermite, planted = hermite_coeff_table(), BivarPoly.monomial(Fraction(-5, 7), 0, 3)
+        table = CoeffTable(generator=lambda r, m: planted if (r, m) == (r0, m0)
+                           else hermite(r, m), name="planted")
+        order, p = 6, (r0 + m0) // K
+        even, odd = resum_corollary1(table, K, order)
+        want = LambdaSeries(order)
+        want.coeffs[p] = BivarPoly.monomial(Fraction(-5, 7 * fact(p)), r0, 3)
+        assert odd == want
+        assert even == resum_corollary1(hermite, K, order)[0]
+
     def test_parity_split_on_dense_table(self):
         table = random_dense_table(seed=42)
         for K in range(1, 9):
