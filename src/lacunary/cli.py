@@ -44,6 +44,17 @@ def _render(obj, fmt: str = "json") -> str:
     return str(obj) if fmt == "text" else json.dumps(obj.to_json(), indent=2)
 
 
+def _text(run, args, lower: str) -> str:
+    """run(args), with an output past Python's int-to-str limit reported by what to lower."""
+    try:
+        return run(args)
+    except ValueError as exc:
+        if not str(exc).startswith("Exceeds the limit"):
+            raise
+    raise ValueError(f"the output has a number past {INT_STR_DIGITS} digits, Python's limit "
+                     f"on int-to-str conversion; lower {lower}")
+
+
 def _write(out: str | None, text: str) -> int:
     """Print text to the file out, or to stdout if out is unset; exit status 0."""
     with _open(out, "w") if out else nullcontext(sys.stdout) as fh:
@@ -185,10 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name: str, run, help: str) -> argparse.ArgumentParser:
+    def command(name: str, run, help: str, lower: str) -> argparse.ArgumentParser:
         c = sub.add_parser(name, help=help)
         c.add_argument("--out")
-        c.set_defaults(run=lambda args: _write(args.out, run(args)))
+        c.set_defaults(run=lambda args: _write(args.out, _text(run, args, lower)))
         return c
 
     v = sub.add_parser("verify", help="closed-form vs oracle sweep")
@@ -202,30 +213,33 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--nmax", type=int, help="with a K range; default 6")
     v.add_argument("--seed", type=int, help="with a K range; default 0")
 
-    h = command("hermite", run_hermite, "print H_n(x, y)")
+    h = command("hermite", run_hermite, "print H_n(x, y)", "n")
     h.add_argument("n", type=int)
     h.add_argument("--format", choices=("json", "text"), default="text")
 
-    c = command("closed-form", run_closed_form, "K-tuple L-shifted closed form")
+    c = command("closed-form", run_closed_form, "K-tuple L-shifted closed form", "--order or L")
     c.add_argument("K", type=int)
     c.add_argument("L", type=int, nargs="?", default=0)
     c.add_argument("--order", type=int, default=4)
     c.add_argument("--format", choices=("json", "text", "plan"), default="text")
 
-    d = command("dilate", run_dilate, "K-fold dilatation of a JSON series")
+    d = command("dilate", run_dilate, "K-fold dilatation of a JSON series",
+                "the input's order or numbers")
     d.add_argument("K", type=int)
     d.add_argument("--in", dest="infile", default="-")
 
-    s = command("shift", run_shift, "L-fold lambda-derivative of a JSON series")
+    s = command("shift", run_shift, "L-fold lambda-derivative of a JSON series",
+                "L or the input's numbers")
     s.add_argument("L", type=int)
     s.add_argument("--in", dest="infile", default="-")
 
-    no = command("normal-order", run_normal_order, "solve the (T, g) IVP")
+    no = command("normal-order", run_normal_order, "solve the (T, g) IVP",
+                 "--order or the numbers of --q and --v")
     no.add_argument("--q", required=True, help="JSON term list for q(x)")
     no.add_argument("--v", required=True, help="JSON term list for v(x)")
     no.add_argument("--order", type=int, default=6)
 
-    nt = command("nieto-truax", run_nieto_truax, "roots-of-unity numeric evaluation")
+    nt = command("nieto-truax", run_nieto_truax, "roots-of-unity numeric evaluation", "--terms")
     nt.add_argument("K", type=int)
     nt.add_argument("L", type=int)
     nt.add_argument("--lambda", dest="lam", default="1/10")
@@ -234,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     nt.add_argument("--bits", type=int, default=256, help="precision, 64..8192")
     nt.add_argument("--terms", type=int, default=30)
 
-    e = command("emit", run_emit, "serialize the Hermite EGF")
+    e = command("emit", run_emit, "serialize the Hermite EGF", "--order")
     e.add_argument("kind", choices=("egf",))
     e.add_argument("--order", type=int, default=4)
     e.add_argument("--format", choices=("json", "text"), default="json")

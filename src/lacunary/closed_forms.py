@@ -33,48 +33,35 @@ from .normal_ordering import SemiLinearOp, exp_action
 from .series import BivarPoly, LambdaSeries
 
 
-class ClosedFormBranch(namedtuple("ClosedFormBranch", "lambda_shift y_power den upper "
-                                                     "lower arg_coef arg_lpow arg_ypow")):
-    """One branch of the closed form: lambda-shift, prefactor y-power and pFq block.
+class ClosedFormBranch(namedtuple("ClosedFormBranch", "lambda_shift y_power lower")):
+    """One branch: terms lambda^p/p! for p >= d = ``lambda_shift``, a prefactor y^b for
+    b = ``y_power``, and its lower pFq parameters as numerators over the plan's ``den``."""
 
-    The branch's terms carry lambda^(s+d)/(s+d)! for d = ``lambda_shift``, and
-    its prefactor carries y^b and the factorial ratio for b = ``y_power``.
-    Every block parameter is an integer numerator over the one denominator
-    ``den`` (K for even K, 2K for odd K): at step s the upper parameters are
-    (u + K*s)/den for u in the tuple ``upper`` and the lower ones b/den for b
-    in the tuple ``lower``.  The block argument is
-    arg_coef * lambda^arg_lpow * y^arg_ypow.
+    __slots__ = ()
+
+
+class ClosedFormPlan(namedtuple("ClosedFormPlan", "K den upper arg branches")):
+    """The K-tuple closed form: the pFq data that depend on K alone, and its branches.
+
+    Every block parameter is an integer numerator over the one denominator ``den``
+    (K for even K, 2K for odd K): at lambda-power p the upper parameters are
+    (K*p + j)/den for j in ``upper``, and a branch's lower ones are m/den for m in
+    its ``lower``.  The block argument is coef * lambda^lp * y^yp for
+    (coef, lp, yp) = ``arg``.
     """
 
     __slots__ = ()
 
-    def x_power(self, K: int, s: int) -> int:
-        return K * (s + self.lambda_shift) - 2 * self.y_power
-
-    def factorial_ratio(self, K: int, s: int) -> int:
-        n = K * (s + self.lambda_shift)
-        return fact(n) // (fact(n - 2 * self.y_power) * fact(self.y_power))
-
-    def to_json(self, K: int) -> dict:
-        step = Fraction(K, self.den)
-        s_str = "s" if step == 1 else f"{step}*s"
-        return {
-            "lambda_shift": self.lambda_shift,
-            "y_power": self.y_power,
-            "upper": [f"{s_str} + {Fraction(u, self.den)}" for u in self.upper],
-            "lower": [str(Fraction(b, self.den)) for b in self.lower],
-            "arg": {"coef": f"{self.arg_coef}/1", "lp": self.arg_lpow, "xp": 0,
-                    "yp": self.arg_ypow},
-        }
-
-
-class ClosedFormPlan(namedtuple("ClosedFormPlan", "K branches")):
-    """The K-tuple closed form as its tuple of ClosedFormBranch."""
-
-    __slots__ = ()
-
     def to_json(self) -> dict:
-        return {"K": self.K, "branches": [b.to_json(self.K) for b in self.branches]}
+        K, den, (coef, lp, yp) = self.K, self.den, self.arg
+        step = Fraction(K, den)
+        s_str = "s" if step == 1 else f"{step}*s"
+        return {"K": K, "branches": [{
+            "lambda_shift": d, "y_power": b,
+            "upper": [f"{s_str} + {Fraction(K * d + j, den)}" for j in self.upper],
+            "lower": [str(Fraction(m, den)) for m in lower],
+            "arg": {"coef": f"{coef}/1", "lp": lp, "xp": 0, "yp": yp},
+        } for d, b, lower in self.branches]}
 
 
 def closed_form_plan(K: int) -> ClosedFormPlan:
@@ -82,9 +69,9 @@ def closed_form_plan(K: int) -> ClosedFormPlan:
 
     With P = K/2 for even K and P = K for odd K, every parameter is over
     den = 2P.  Even K has a (K-1)F(P-1) block with argument lambda*(2Ky)^P and
-    upper parameters d + s + j/K; odd K has a (2K-2)F(K-1) block with argument
-    lambda^2*(4Ky)^K/4 and upper parameters d/2 + s/2 + j/(2K), j != K.  The
-    branch with y-power b has the lower parameters m/P, m = b+1 ... b+P
+    upper parameters p + j/K at lambda-power p; odd K has a (2K-2)F(K-1) block
+    with argument lambda^2*(4Ky)^K/4 and upper parameters p/2 + j/(2K), j != K.
+    The branch with y-power b has the lower parameters m/P, m = b+1 ... b+P
     except P.  There is one branch per y-power b = 0 ... P-1, with the
     lambda-shift d = ceil(2b/K): the least d that makes the x-power K*d - 2b
     non-negative.  K = 1 has the one branch exp(lambda*x) 0F0(;;lambda^2*y).
@@ -93,14 +80,11 @@ def closed_form_plan(K: int) -> ClosedFormPlan:
         raise ValueError("K must be >= 1")
     P = K // 2 if K % 2 == 0 else K
     arg = ((2 * K) ** P, 1, P) if K % 2 == 0 else ((4 * K) ** K // 4, 2, K)
-    consts = [j for j in range(1, 2 * P) if j != K]
-
-    def branch(d: int, b: int) -> ClosedFormBranch:
-        return ClosedFormBranch(d, b, 2 * P, tuple(d * K + j for j in consts),
-                                tuple(2 * m for m in range(b + 1, b + P + 1) if m != P),
-                                *arg)
-
-    return ClosedFormPlan(K, tuple(branch(-(-2 * b // K), b) for b in range(P)))
+    upper = tuple(j for j in range(1, 2 * P) if j != K)
+    return ClosedFormPlan(K, 2 * P, upper, arg, tuple(
+        ClosedFormBranch(-(-2 * b // K), b,
+                         tuple(2 * m for m in range(b + 1, b + P + 1) if m != P))
+        for b in range(P)))
 
 
 def _leibniz_parts(H: list[dict], y_power: int) -> list[dict]:
@@ -129,27 +113,26 @@ def _leibniz_prefactor(P: int, parts: list[dict]) -> dict:
 
 
 def _evaluate_plan(plan: ClosedFormPlan, L: int, order: int) -> LambdaSeries:
-    """Sum over branches and s of lambda^p0 * prefactor * pFq block.
+    """Sum over branches and lambda-powers p0 of lambda^p0 * prefactor * pFq block.
 
-    The prefactor is integer numerators times the factorial ratio over p0!;
-    block term t is a rational times lambda^(t*lp) y^(t*yp), multiplied
-    straight into the prefactor's numerators.  Each block term fetches its
-    bucket of LambdaSeries.collect once; the block is cut so that its last
-    term stays within the order.
+    At n = K*p0 the prefactor is the integer numerators of the x^(n-2b) Leibniz sum
+    times n! / ((n-2b)! b!) over p0!; block term t is a rational times
+    lambda^(t*lp) y^(t*yp), multiplied straight into the prefactor's numerators.
+    Each block term fetches its bucket of LambdaSeries.collect once; the block is
+    cut so that its last term stays within the order.
     """
-    K = plan.K
+    K, den, (coef, lp, yp_step) = plan.K, plan.den, plan.arg
     H = [hermite_poly(j).num for j in range(L + 1)]
     sums = [{} for _ in range(order + 1)]
-    for br in plan.branches:
-        parts = _leibniz_parts(H, br.y_power)
-        lower = [(b, br.den) for b in br.lower]
-        lp, yp_step = br.arg_lpow, br.arg_ypow
-        for s in range(order + 1 - br.lambda_shift):
-            p0 = s + br.lambda_shift
-            pref = _leibniz_prefactor(br.x_power(K, s), parts).items()
-            ratio, p0_fact = br.factorial_ratio(K, s), fact(p0)
-            upper = [(u + K * s, br.den) for u in br.upper]
-            block = pfq_series(upper, lower, (br.arg_coef, 1), (order - p0) // lp + 1)
+    for d, b, lower in plan.branches:
+        parts = _leibniz_parts(H, b)
+        lower = [(m, den) for m in lower]
+        for p0 in range(d, order + 1):
+            n = K * p0
+            pref = _leibniz_prefactor(n - 2 * b, parts).items()
+            ratio, p0_fact = fact(n) // (fact(n - 2 * b) * fact(b)), fact(p0)
+            upper = [(n + j, den) for j in plan.upper]
+            block = pfq_series(upper, lower, (coef, 1), (order - p0) // lp + 1)
             for t, (bn, bd) in enumerate(block):
                 bn *= ratio
                 acc = sums[p0 + t * lp].setdefault(bd * p0_fact, {})

@@ -42,21 +42,17 @@ def first_diff_poly(diff: BivarPoly, lam_power: int) -> dict | None:
     if diff.is_zero():
         return None
     (xp, yp), c = diff.sorted_terms()[0]
-    return {
-        "lp": lam_power,
-        "xp": xp,
-        "yp": yp,
-        "num": str(c.numerator),
-        "den": str(c.denominator),
-    }
+    return {"lp": lam_power, "xp": xp, "yp": yp, "num": str(c.numerator),
+            "den": str(c.denominator)}
 
 
 def first_diff_series(a: LambdaSeries, b: LambdaSeries) -> dict | None:
+    """The first differing term; the shorter of two series differs where it stops."""
     for n in range(min(a.order, b.order) + 1):
         d = first_diff_poly(a.coeffs[n] - b.coeffs[n], n)
         if d is not None:
             return d
-    return None
+    return None if a.order == b.order else {"lp": min(a.order, b.order) + 1, "missing": True}
 
 
 def _mix(z: int) -> int:
@@ -87,6 +83,9 @@ def coefficient_cases(K: int, L: int, n_max: int) -> list[dict]:
     series = closed_form_HKL(K, L, n_max)
     cases = []
     for n in range(n_max + 1):
+        if n > series.order:  # a short closed form fails at each power it lacks
+            cases.append(_case(K, L, n, {"lp": n, "missing": True}))
+            continue
         diff = series.coeffs[n] * Fraction(fact(n)) - hermite_poly(n * K + L)
         cases.append(_case(K, L, n, first_diff_poly(diff, n)))
     return cases

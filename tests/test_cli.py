@@ -12,8 +12,11 @@ from pathlib import Path
 import pytest
 
 import lacunary
+import lacunary.operators
 from lacunary.cli import main
-from lacunary.verify import run_verification
+from lacunary.closed_forms import closed_form_HKL
+from lacunary.series import LambdaSeries
+from lacunary.verify import RESUM_ORDER, run_verification
 
 
 CAPPED = [
@@ -82,6 +85,21 @@ PINNED = {
     ("normal-order", "--q", Q2, "--v", V2, "--order", "8"):
         "1a57ff896ee341c89cabaa071a90e6493f30e7ee6889a314caed39ce75a2d0d2",
 }
+# SHA-256 of the stdout of closed-form K --format plan, K = 1 ... 12, pinned likewise
+PINNED_PLANS = {
+    1: "e0ab6a72c872830026c3d295bd440d867fe922cec10267179735054c8a517cd9",
+    2: "a1433b305cd704ad1e208307cfbfaed6dd931e99caad7f03bb86511d1e39d00f",
+    3: "62cf604a771ecc517975911c610bd5b16752089fbece0c52fe65fbad3add6cce",
+    4: "71c48291a00c4aa733483a494590213bf352f920c9c11706947452a9d5fe9e11",
+    5: "14fd8f2526d5a6464303980a8190dcc24a96207e37afb504dfa7ed5dc99360cc",
+    6: "71146c66c24959414bca7663da38d074def8bea5cb570fa185dc6d5bc997283f",
+    7: "1174112263aaf505e9f84b4d991e807de1ad2137f8639df397a39cd874a750e3",
+    8: "27ae03c353b1bfee5b412b3af74b032dcc715c05c0519a526d4c1d6dc88c9ca9",
+    9: "dc3fd40d84a7258f336ecf82d04c6b9fa90be4ee4f5c480c9599953c69986ddb",
+    10: "6136b8b2d028fc0c676d80aa2209980fc4f214fd61660aa816bede22133126d0",
+    11: "9ecdb9617673a1a3e7594933fbcafeee02be3e5652925177a72bc8f15c4f96df",
+    12: "a94f90bd232bdfdfe4c877b7e75056dbac02db8cee0ab5f5b7c0c108b1dc1632",
+}
 # emit egf --order 6, then dilate 2 and shift 1, each reading the one before through --in
 PINNED_CHAIN = [
     (("emit", "egf", "--order", "6"),
@@ -130,11 +148,11 @@ class TestEmitSeries:
         plan = json.loads(stdout_of(capsys, "closed-form", "4", "--format", "plan"))
         assert plan["K"] == 4 and len(plan["branches"]) == 2
 
-    def test_plan_regenerates_k1_to_10_structures(self, capsys):
-        # explicit closed forms exist for every K; plan output covers K=1..10
-        for K in range(1, 11):
-            plan = json.loads(stdout_of(capsys, "closed-form", str(K), "--format", "plan"))
-            assert plan["branches"], K
+    def test_plan_is_pinned_for_k1_to_12(self, capsys):
+        # the plan of every K the sweep reaches prints the bytes it printed when pinned
+        for K, digest in PINNED_PLANS.items():
+            text = stdout_of(capsys, "closed-form", str(K), "--format", "plan")
+            assert sha256(text) == digest, K
 
     def test_bad_kind(self, capsys):
         # emit serializes the EGF only; closed forms are the closed-form command's
@@ -247,6 +265,30 @@ class TestVerify:
         data = json.loads(out.read_text())
         assert data["failed"] == 1
         assert [c["diff_term"] for c in data["cases"] if not c["pass"]] == [diff_term]
+
+    def test_short_resummation_fails(self, capsys, monkeypatch, tmp_path):
+        # a resummation one lambda-power short fails where it stops, in each of its checks
+        resum = lacunary.operators._resum
+
+        def short(*args):
+            series = resum(*args)
+            return LambdaSeries(series.order - 1, series.coeffs[:-1])
+
+        monkeypatch.setattr("lacunary.operators._resum", short)
+        out = tmp_path / "report.json"
+        assert main(["verify", "--kmin", "2", "--nmax", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().out.splitlines()[-1].startswith("2 passed, 3 failed (")
+        cases = json.loads(out.read_text())["cases"]
+        assert [c["diff_term"] for c in cases if not c["pass"]] == [
+            {"lp": RESUM_ORDER, "missing": True}] * 3
+
+    def test_short_closed_form_fails(self, monkeypatch):
+        # a closed form one lambda-power short fails its last case instead of raising
+        monkeypatch.setattr("lacunary.verify.closed_form_HKL",
+                            lambda K, L, order: closed_form_HKL(K, L, order - 1))
+        cases = run_verification({3: 2})["cases"]
+        assert len(cases) == 6
+        assert [c["diff_term"] for c in cases if not c["pass"]] == [{"lp": 2, "missing": True}]
 
     def test_report_written(self, tmp_path):
         out = tmp_path / "report.json"
@@ -367,6 +409,25 @@ class TestSubcommands:
         assert len(json.loads(capsys.readouterr().out)["partial_sum"]) <= 4300
         assert main(["nieto-truax", "3", "1", "--x", "1e38"]) == 2
         assert capsys.readouterr().err.startswith("error: --x is too long")
+
+    def test_normal_order_output_past_int_str_limit(self, capsys):
+        # a 3000-digit q coefficient, raised to the 4th power, passes the int-to-str limit
+        q = json.dumps([{"xp": 0, "yp": 1, "num": "7" * 3000, "den": "1"}])
+        assert main(["normal-order", "--q", q, "--v", V1, "--order", "4"]) == 2
+        assert capsys.readouterr().err == (
+            "error: the output has a number past 4300 digits, Python's limit on int-to-str "
+            "conversion; lower --order or the numbers of --q and --v\n")
+
+    def test_dilate_output_past_int_str_limit(self, capsys, tmp_path):
+        # a 4290-digit lambda^40 numerator reads in, but dilated it prints past the limit
+        coeffs = [[] for _ in range(41)]
+        coeffs[40] = [{"xp": 0, "yp": 0, "num": "9" * 4290, "den": "1"}]
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps({"order": 40, "coeffs": coeffs}))
+        assert main(["dilate", "2", "--in", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the output has a number past 4300 digits, Python's limit on int-to-str "
+            "conversion; lower the input's order or numbers\n")
 
     @pytest.mark.parametrize("flag,value", [("--lambda", "1e4000"), ("--x", "1e4000")])
     def test_nieto_truax_bounds_the_exponent(self, flag, value):

@@ -58,28 +58,22 @@ class TestPlanStructure:
                 2 * br.y_power for br in closed_form_plan(K).branches], K
 
     def test_pfq_shapes(self):
+        # den and the upper constants are the plan's, once; each branch has its lower
         for K in range(2, 11):
-            T = K // 2
-            for br in closed_form_plan(K).branches:
-                if K % 2 == 0:
-                    assert br.den == K
-                    assert len(br.upper) == K - 1
-                    assert len(br.lower) == T - 1
-                else:
-                    assert br.den == 2 * K
-                    assert len(br.upper) == 2 * K - 2
-                    assert len(br.lower) == K - 1
+            plan = closed_form_plan(K)
+            den, n_upper, n_lower = (K, K - 1, K // 2 - 1) if K % 2 == 0 else (
+                2 * K, 2 * K - 2, K - 1)
+            assert plan.den == den and len(plan.upper) == n_upper, K
+            assert [len(br.lower) for br in plan.branches] == [n_lower] * len(plan.branches)
 
     def test_k4_branches(self):
         plan = closed_form_plan(4)
         main, beta1 = plan.branches
-        assert [Fraction(u, main.den) for u in main.upper] == [
+        assert [Fraction(j, plan.den) for j in plan.upper] == [
             Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
-        assert [Fraction(b, main.den) for b in main.lower] == [Fraction(1, 2)]
-        assert main.arg_coef == 64 and main.arg_lpow == 1 and main.arg_ypow == 2
-        assert beta1.lambda_shift == 1 and beta1.y_power == 1
-        assert [Fraction(b, beta1.den) for b in beta1.lower] == [Fraction(3, 2)]
-        assert beta1.factorial_ratio(4, 0) == fact(4) // fact(2)
+        assert plan.arg == (64, 1, 2)
+        assert main == (0, 0, (2,)) and beta1 == (1, 1, (6,))
+        assert [Fraction(m, plan.den) for m in beta1.lower] == [Fraction(3, 2)]
 
     def test_plan_json_arg(self):
         arg = closed_form_plan(4).to_json()["branches"][0]["arg"]
@@ -120,16 +114,15 @@ class TestPlanStructure:
 
     def test_k5_argument_monomial(self):
         plan = closed_form_plan(5)
-        br = plan.branches[0]
-        assert br.arg_coef == 2**8 * 5**5
-        assert br.arg_lpow == 2 and br.arg_ypow == 5
-        # the upper parameters (u + K*s)/den step by s/2
-        assert Fraction(5, br.den) == Fraction(1, 2)
+        assert plan.arg == (2**8 * 5**5, 2, 5)
+        # the upper parameters (K*p + j)/den step by p/2
+        assert Fraction(5, plan.den) == Fraction(1, 2)
 
     def test_k3_shifted_first_branch_lower(self):
         # second branch of K=3 pairs with lower parameters {2/3, 4/3}
-        br = closed_form_plan(3).branches[1]
-        assert [Fraction(b, br.den) for b in br.lower] == [Fraction(2, 3), Fraction(4, 3)]
+        plan = closed_form_plan(3)
+        assert [Fraction(m, plan.den) for m in plan.branches[1].lower] == [
+            Fraction(2, 3), Fraction(4, 3)]
 
     def test_no_pole_in_lower_lists(self):
         for K in range(1, 11):
@@ -186,19 +179,6 @@ class TestClosedFormHK0:
         for K in range(2, 9):
             even, _ = resum_corollary1(table, K, 4)
             assert closed_form_HKL(K, 0, 4) == even, K
-
-    def test_factorial_ratio_is_hermite_coefficient(self):
-        # the beta-branch ratio equals the coefficient of x^(K(s+1)-2b) y^b
-        # in H_(K(s+1))
-        for K in (4, 6, 5, 7):
-            for br in closed_form_plan(K).branches[1:]:
-                if br.lambda_shift != 1:
-                    continue
-                for s in range(3):
-                    h = hermite_poly(K * (s + 1))
-                    assert br.factorial_ratio(K, s) == h.coefficient(
-                        br.x_power(K, s), br.y_power
-                    )
 
     def test_y0_specialization(self):
         # at y=0 every pFq block collapses to 1: lambda^n coefficient x^(nK)/n!
