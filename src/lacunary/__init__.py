@@ -16,7 +16,6 @@ _EXPORTS = {
     "hermite_coeff_table": "hermite",
     "hermite_egf": "hermite",
     "hermite_poly": "hermite",
-    "DomainError": "hypergeom",
     "PoleError": "hypergeom",
     "pfq_series": "hypergeom",
     "Branch": "operators",
@@ -37,8 +36,6 @@ _EXPORTS = {
     "RkSeries": "closed_forms",
     "closed_form_HKL": "closed_forms",
     "closed_form_plan": "closed_forms",
-    "nieto_truax": "closed_forms",
-    "nieto_truax_partial_sum": "closed_forms",
     "rk_series": "closed_forms",
     "random_dense_table": "verify",
     "run_verification": "verify",

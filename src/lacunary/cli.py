@@ -1,10 +1,10 @@
 """Command-line interface: verification sweeps and access to every operation.
 
-Subcommands: verify, hermite, closed-form, dilate, shift, normal-order,
-nieto-truax, emit.  Series travel as JSON (string-encoded integer
-numerators/denominators); text output is canonically ordered and therefore
-byte-deterministic for identical inputs.  Each handler imports what it
-calls, so a command loads only the modules of the package that it runs.
+Subcommands: verify, hermite, closed-form, dilate, shift, normal-order, emit.
+Series travel as JSON (string-encoded integer numerators/denominators); text
+output is canonically ordered and therefore byte-deterministic for identical
+inputs.  Each handler imports what it calls, so a command loads only the
+modules of the package that it runs.
 """
 
 from __future__ import annotations
@@ -12,10 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from contextlib import nullcontext
-from fractions import Fraction
 
 from .hermite import check_cap
 
@@ -32,10 +30,14 @@ def _open(path: str, mode: str = "r"):
 
 
 def _parse(what: str, parse, text: str):
-    """parse(text), with malformed input reported as a usage error."""
+    """parse(text), with malformed input, or a number past Python's limit on
+    str-to-int conversion, reported as a usage error that names the input."""
     try:
         return parse(text)
     except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
+        if str(exc).startswith("Exceeds the limit"):
+            raise ValueError(f"a number in {what} is past {INT_STR_DIGITS} digits, Python's "
+                             "limit on str-to-int conversion; shorten it") from None
         raise ValueError(f"malformed {what}: {exc!r}") from None
 
 
@@ -87,12 +89,16 @@ def run_verify(args) -> int:
         k_max = k_min if args.kmax is None else args.kmax
         if k_max < k_min:
             raise ValueError(f"--kmax {k_max} is below --kmin {k_min}: the K range is empty")
+        l_min = 0 if args.lmin is None else args.lmin
+        l_max = l_min if args.lmax is None else args.lmax
+        if l_max < l_min:
+            raise ValueError(f"--lmax {l_max} is below --lmin {l_min}: the L range is empty")
         n_max = 6 if args.nmax is None else args.nmax
         # clipped to 0..13, so a huge range is never built; an end outside 1..12 keeps
         # 0 or 13 (or no K at all) in the sweep, which run_verification refuses
         ks = range(max(k_min, 0), min(k_max, 13) + 1)
-        report = run_verification({K: n_max for K in ks}, l_min=args.lmin or 0,
-                                  l_max=args.lmax or 0, seed=args.seed or 0)
+        report = run_verification({K: n_max for K in ks}, l_min=l_min, l_max=l_max,
+                                  seed=args.seed or 0)
     if args.out:
         with _open(args.out, "w") as fh:
             json.dump(report, fh, indent=2)
@@ -111,11 +117,15 @@ def run_hermite(args) -> str:
 
 def run_closed_form(args) -> str:
     from .closed_forms import closed_form_HKL, closed_form_plan
-    if args.format == "plan":  # the plan depends on K alone
+    if args.format == "plan":
+        if args.L is not None or args.order is not None:
+            raise ValueError("--format plan takes no L or --order: the plan depends on K alone")
         check_cap(args.K)
         return _render(closed_form_plan(args.K))
-    check_cap(max(args.K, args.K * args.order) + args.L)
-    return _render(closed_form_HKL(args.K, args.L, args.order), args.format)
+    L = args.L or 0
+    order = 4 if args.order is None else args.order
+    check_cap(max(args.K, args.K * order) + L)
+    return _render(closed_form_HKL(args.K, L, order), args.format)
 
 
 def run_emit(args) -> str:
@@ -145,49 +155,6 @@ def run_normal_order(args) -> str:
                        "g": result.g_series.to_json()}, indent=2)
 
 
-def _digits(n: int) -> int:
-    """Decimal digits of |n|, without the int-to-str conversion that refuses long ones."""
-    n = abs(n) or 1
-    d = n.bit_length() * 30103 // 100000 + 1  # the digit count, or one more
-    return d - (10 ** (d - 1) > n)
-
-
-def _exact_inputs(args, top: int) -> list[Fraction]:
-    """--lambda, --x and --y as exact numbers, refused before any arithmetic unless
-    max(top, 1) * (s + 1 + digits(top)) <= INT_STR_DIGITS, s their digits in numerators
-    and denominators: that bounds the partial sum to H_top, which is printed in full."""
-    values, widths = [], {}
-    for flag, text in (("--lambda", args.lam), ("--x", args.x), ("--y", args.y)):
-        # Fraction expands an exponent first: one of five digits or more is too long unbuilt
-        if re.search(r"[eE][-+]?0*[1-9]\d{4}", text.replace("_", "")):
-            widths[flag] = INT_STR_DIGITS + 1
-            continue
-        v = _parse(flag, Fraction, text)
-        values.append(v)
-        widths[flag] = _digits(v.numerator) + _digits(v.denominator)
-    s = sum(widths.values())
-    if max(top, 1) * (s + 1 + _digits(top)) > INT_STR_DIGITS:
-        widest = max(widths, key=widths.get)
-        raise ValueError(f"{widest} is too long: the exact partial sum to H_{top} could pass "
-                         f"{INT_STR_DIGITS} digits; shorten {widest} or lower --terms")
-    return values
-
-
-def run_nieto_truax(args) -> str:
-    top = args.K * args.terms + args.L  # the exact partial sum reaches H_top
-    check_cap(max(args.K, top))  # the numeric path sums K exponentials
-    lam, x, y = _exact_inputs(args, top)
-    import mpmath
-
-    from .closed_forms import nieto_truax, nieto_truax_partial_sum
-
-    value = nieto_truax(args.K, args.L, lam, x, y, precision_bits=args.bits)
-    oracle = nieto_truax_partial_sum(args.K, args.L, lam, x, y, args.terms)
-    return json.dumps({"real": mpmath.nstr(value.real, 40),
-                       "imag": mpmath.nstr(value.imag, 40),
-                       "partial_sum": f"{oracle.numerator}/{oracle.denominator}"}, indent=2)
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="lacunary",
@@ -209,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--kmax", type=int)
     # unset unless given, so that the default sweep can reject them
     v.add_argument("--lmin", type=int, help="with a K range; default 0")
-    v.add_argument("--lmax", type=int, help="with a K range; default 0")
+    v.add_argument("--lmax", type=int, help="with a K range; default --lmin")
     v.add_argument("--nmax", type=int, help="with a K range; default 6")
     v.add_argument("--seed", type=int, help="with a K range; default 0")
 
@@ -219,8 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = command("closed-form", run_closed_form, "K-tuple L-shifted closed form", "--order or L")
     c.add_argument("K", type=int)
-    c.add_argument("L", type=int, nargs="?", default=0)
-    c.add_argument("--order", type=int, default=4)
+    # unset unless given, so that --format plan can reject them
+    c.add_argument("L", type=int, nargs="?", help="default 0; not with --format plan")
+    c.add_argument("--order", type=int, help="default 4; not with --format plan")
     c.add_argument("--format", choices=("json", "text", "plan"), default="text")
 
     d = command("dilate", run_dilate, "K-fold dilatation of a JSON series",
@@ -238,15 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     no.add_argument("--q", required=True, help="JSON term list for q(x)")
     no.add_argument("--v", required=True, help="JSON term list for v(x)")
     no.add_argument("--order", type=int, default=6)
-
-    nt = command("nieto-truax", run_nieto_truax, "roots-of-unity numeric evaluation", "--terms")
-    nt.add_argument("K", type=int)
-    nt.add_argument("L", type=int)
-    nt.add_argument("--lambda", dest="lam", default="1/10")
-    nt.add_argument("--x", default="1")
-    nt.add_argument("--y", default="1/2")
-    nt.add_argument("--bits", type=int, default=256, help="precision, 64..8192")
-    nt.add_argument("--terms", type=int, default=30)
 
     e = command("emit", run_emit, "serialize the Hermite EGF", "--order")
     e.add_argument("kind", choices=("egf",))

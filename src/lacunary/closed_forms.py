@@ -15,9 +15,6 @@ each prefactor x-power x^P by the Leibniz sum
 
 Everything is materialized only as truncated exact series: each branch's
 minimum lambda-power grows with s, so the s-cut is exact.
-
-The roots-of-unity evaluation (a different, non-lacunary generating
-function) lives on a separate numeric path using mpmath, imported only there.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from fractions import Fraction
 from math import comb
 
 from .hermite import fact, hermite_poly
-from .hypergeom import DomainError, pfq_series
+from .hypergeom import pfq_series
 from .normal_ordering import SemiLinearOp, exp_action
 from .series import BivarPoly, LambdaSeries
 
@@ -181,74 +178,3 @@ def rk_series(K: int, mu_order: int, lambda_order: int) -> RkSeries:
         closed_form_HKL(K, 0, lambda_order), mu_order)
     return RkSeries(tuple(mu_coeffs))
 
-
-def nieto_truax(K: int, L: int, lam, x, y, precision_bits: int = 256):
-    """Roots-of-unity evaluation of the K-strided, L-offset exponential sum.
-
-    Returns an mpmath complex number whose imaginary part vanishes up to
-    roundoff; the real part equals sum_n lam^(nK+L) H_(nK+L)(x,y)/(nK+L)!.
-
-    At least half of the precision_bits must survive: rounding the argument
-    x*tau + y*tau^2 of each exponential loses about log2 of its size, which
-    may not pass 128 either, since past that one exponential slows with its
-    argument; the sum then loses log2(largest term / |sum|) to cancellation.
-    Either loss past its bound raises DomainError before the result is built.
-    A sum whose every term is exactly 0 returns 0 without either check.
-    """
-    if K < 1:
-        raise DomainError("K must be >= 1")
-    if not 0 <= L < K:
-        raise DomainError("require 0 <= L < K")
-    if not 64 <= precision_bits <= 8192:  # past ~14,300 bits nstr hits the int-str limit
-        raise DomainError("precision_bits must lie in 64..8192")
-    import mpmath  # deferred: only this numeric path needs it
-
-    def to_mpf(v):
-        if isinstance(v, Fraction):
-            return mpmath.mpf(v.numerator) / v.denominator
-        return mpmath.mpf(v)
-
-    half = precision_bits // 2
-    arg_bits = min(half, 128)
-    with mpmath.workprec(precision_bits):
-        lam_, x_, y_ = to_mpf(lam), to_mpf(x), to_mpf(y)
-        # every term lam^n H_n(x, y) / n!, n = sK + L, is exactly 0: for L > 0 when
-        # lam = 0 or x = y = 0, and when x = 0 and every n is odd
-        if (L and (not lam_ or not (x_ or y_))) or (not x_ and K % 2 == 0 and L % 2):
-            return mpmath.mpc(0)
-        lost = max(mpmath.mag(abs(lam_ * x_) + abs(lam_**2 * y_)), 0)
-        if lost > arg_bits:
-            raise DomainError(
-                f"the exponential's argument |lambda*x| + |lambda^2*y| is near 2^{lost}, past "
-                f"2^{arg_bits}, the bound at --bits {precision_bits}; "
-                "shrink --lambda, --x or --y")
-        total, largest = mpmath.mpc(0), -mpmath.inf
-        for ell in range(1, K + 1):
-            root = mpmath.expjpi(mpmath.mpf(2 * ell) / K)
-            tau = lam_ * root
-            phase = mpmath.expjpi(mpmath.mpf(2 * ell * L) / K)
-            term = mpmath.exp(x_ * tau + y_ * tau**2) / phase
-            largest = max(largest, mpmath.mag(term))
-            total += term
-        lost += largest - mpmath.mag(total)
-        if lost > half:
-            size = f"near 2^{mpmath.mag(total)}" if total else "0"
-            raise DomainError(
-                f"the roots-of-unity sum cancels: its largest term is near 2^{largest} but "
-                f"the sum is {size}, so more than half of the {precision_bits} bits of "
-                "precision are lost; raise --bits")
-        return total / K
-
-
-def nieto_truax_partial_sum(K: int, L: int, lam, x, y, n_terms: int = 30) -> Fraction:
-    """Exact-rational direct partial sum: the independent oracle for nieto_truax."""
-    if not 0 <= L < K:
-        raise DomainError("require 0 <= L < K")
-    if n_terms < 0:
-        raise DomainError("the number of terms must be >= 0")
-    lam, x, y = Fraction(lam), Fraction(x), Fraction(y)
-    total = Fraction(0)
-    for n in range(n_terms + 1):
-        idx = n * K + L
-        total += lam**idx * hermite_poly(idx).evaluate(x, y) / fact(idx)
-    return total

@@ -1,4 +1,4 @@
-"""Truncated pFq blocks in exact integer arithmetic, and the errors of their domain.
+"""Truncated pFq blocks in exact integer arithmetic, and the pole error they raise.
 
 A truncated pFq block is its first terms z^t prod (a)_t / (t! prod (b)_t),
 with (a)_t the rising factorial, and every parameter and the argument z an
@@ -14,10 +14,6 @@ from math import gcd
 
 class PoleError(ZeroDivisionError):
     """A lower pFq parameter hit a non-positive integer within the term range."""
-
-
-class DomainError(ValueError):
-    """Arguments outside the validity domain of an identity."""
 
 
 def pfq_series(upper, lower, z, count: int) -> list[tuple[int, int]]:

@@ -9,7 +9,7 @@ definition.
 from fractions import Fraction
 from math import factorial
 
-from lacunary import BivarPoly, DomainError, LambdaSeries, SemiLinearOp, compose
+from lacunary import BivarPoly, LambdaSeries, SemiLinearOp, compose
 from lacunary.normal_ordering import exp_action
 
 
@@ -31,11 +31,11 @@ def gmfc_check(n: int, s: int, x) -> bool:
     """
     x = Fraction(x)
     if n < 2:
-        raise DomainError("n must be >= 2")
+        raise ValueError("n must be >= 2")
     if s < 0:
-        raise DomainError("s must be >= 0")
+        raise ValueError("s must be >= 0")
     if x <= 0:
-        raise DomainError("x must be a positive rational")
+        raise ValueError("x must be a positive rational")
     lhs = Fraction(1)
     for k in range(n * s):
         lhs *= n * x + k

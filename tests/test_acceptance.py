@@ -1,15 +1,13 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Every check is exact rational equality except the numeric roots-of-unity
-criterion, which carries its stated relative tolerance.  Time targets are
-asserted with `perf_counter` around the exact computation.
+Every check is exact rational equality.  Time targets are asserted with
+`perf_counter` around the exact computation.
 """
 
 import random
 import time
 from fractions import Fraction
 
-import mpmath
 from identities import crofton_check, gmfc_check
 
 from lacunary import (
@@ -22,8 +20,6 @@ from lacunary import (
     hermite_coeff_table,
     hermite_egf,
     hermite_poly,
-    nieto_truax,
-    nieto_truax_partial_sum,
     normal_order,
     random_dense_table,
     resum_corollary1,
@@ -176,23 +172,3 @@ def test_criterion_8_gmfc_exhaustive():
     )
     report("criterion 8: multiplication formula, n=2..6, s=0..5, 5 x-values", ok)
 
-
-def test_criterion_9_nieto_truax_numeric():
-    lam, x, y = Fraction(1, 10), Fraction(1), Fraction(1, 2)
-    ok = True
-    worst_rel, worst_imag = mpmath.mpf(0), mpmath.mpf(0)
-    with mpmath.workprec(256):
-        for K, L in ((1, 0), (2, 0), (2, 1), (3, 1), (4, 3)):
-            value = nieto_truax(K, L, lam, x, y, precision_bits=256)
-            oracle = nieto_truax_partial_sum(K, L, lam, x, y, 30)
-            om = mpmath.mpf(oracle.numerator) / oracle.denominator
-            rel = abs(value.real - om) / abs(om)
-            imag = abs(value.imag)
-            worst_rel = max(worst_rel, rel)
-            worst_imag = max(worst_imag, imag)
-            ok &= rel < mpmath.mpf(10) ** -20 and imag < mpmath.mpf(10) ** -30
-    report(
-        "criterion 9: roots-of-unity vs exact partial sum at 256 bits",
-        ok,
-        f"worst rel {mpmath.nstr(worst_rel, 3)}, worst imag {mpmath.nstr(worst_imag, 3)}",
-    )

@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 
 import lacunary
 import lacunary.operators
-from lacunary.cli import main
+from lacunary.cli import build_parser, main
 from lacunary.closed_forms import closed_form_HKL
 from lacunary.series import LambdaSeries
 from lacunary.verify import RESUM_ORDER, run_verification
@@ -27,8 +28,6 @@ CAPPED = [
     ["normal-order", "--q", "[]", "--v", "[]", "--order", "1000"],
     ["normal-order", "--q", '[{"xp":100000000,"yp":0,"num":"1","den":"1"}]', "--v", "[]"],
     ["normal-order", "--q", "[]", "--v", '[{"xp":100000000,"yp":0,"num":"1","den":"1"}]'],
-    ["nieto-truax", "5", "0", "--terms", "400"],
-    ["nieto-truax", "1000000", "0", "--terms", "0"],
     ["dilate", "1"],
     ["shift", "0"],
 ]
@@ -39,7 +38,7 @@ Q1, V1 = '[{"xp":0,"yp":1,"num":"2","den":"1"}]', '[{"xp":1,"yp":0,"num":"1","de
 Q2 = '[{"xp":2,"yp":1,"num":"1","den":"2"},{"xp":0,"yp":0,"num":"3","den":"1"}]'
 V2 = '[{"xp":3,"yp":0,"num":"-1","den":"3"},{"xp":1,"yp":1,"num":"1","den":"1"}]'
 # a fresh process that runs one command (or none: import lacunary alone), then prints
-# the lacunary.* modules it loaded, and mpmath if it did
+# the lacunary.* modules it loaded, and mpmath if it did: no command needs it
 LOADED = """
 import json, sys, lacunary
 status = 0
@@ -169,13 +168,20 @@ class TestEmitSeries:
         err = capsys.readouterr().err
         assert "--format" in err and "plan" in err
 
-    def test_plan_builds_no_series(self, capsys):
-        # the plan depends on K alone: an order past the cap changes nothing
-        outs = []
-        for order in ("1000", "0"):
-            assert main(["closed-form", "8", "--format", "plan", "--order", order]) == 0
-            outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1]
+    def test_plan_builds_no_series(self, capsys, monkeypatch):
+        # the plan depends on K alone: a cap of K admits it, not the series of order 4
+        monkeypatch.setenv("LACUNAE_CAP", "8")
+        assert main(["closed-form", "8", "--format", "plan"]) == 0
+        assert main(["closed-form", "8"]) == 2
+        assert "LACUNAE_CAP" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["5", "3", "--order", "9"], ["5", "0"],
+                                      ["5", "--order", "4"]], ids=" ".join)
+    def test_plan_refuses_l_and_order(self, capsys, args):
+        # the plan would ignore them, even at their defaults
+        assert main(["closed-form", *args, "--format", "plan"]) == 2
+        assert capsys.readouterr().err == ("error: --format plan takes no L or --order: "
+                                           "the plan depends on K alone\n")
 
 
 class TestVerify:
@@ -249,6 +255,18 @@ class TestVerify:
         expected = run_verification({2: 6, 3: 6}, l_min=0, l_max=0, seed=0)["cases"]
         assert json.loads(out.read_text())["cases"] == expected
 
+    def test_lmax_defaults_to_lmin(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--kmin", "2", "--lmin", "2", "--nmax", "1", "--out",
+                     str(out)]) == 0
+        expected = run_verification({2: 1}, l_min=2, l_max=2)["cases"]
+        assert json.loads(out.read_text())["cases"] == expected
+
+    def test_empty_l_range_is_refused_by_name(self, capsys):
+        assert main(["verify", "--kmin", "2", "--lmin", "3", "--lmax", "1"]) == 2
+        assert capsys.readouterr().err == ("error: --lmax 1 is below --lmin 3: "
+                                           "the L range is empty\n")
+
     def test_failing_case_is_reported(self, capsys, monkeypatch, tmp_path):
         # a wrong oracle H_4: the one case that reads it fails, with its first differing term
         orig = lacunary.verify.hermite_poly
@@ -314,20 +332,23 @@ class TestSubcommands:
         dilated = json.loads(capsys.readouterr().out)
         assert dilated["order"] == 3
 
-    def test_nieto_truax(self, capsys):
-        assert main(["nieto-truax", "2", "0"]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["real"].startswith("1.0")
-
     @pytest.mark.parametrize("argv", LOADS, ids=[a[0] if a else "import" for a in LOADS])
     def test_fresh_process_loads_only_its_modules(self, argv):
-        # only nieto-truax needs mpmath, and each command loads only the modules it runs;
+        # each command loads only the modules it runs, and none loads mpmath;
         # stdlib modules are not asserted on, since site may load any of them
         env = dict(os.environ, PYTHONPATH=str(Path(lacunary.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", LOADED, *argv], env=env,
                               input=SMALL_SERIES, capture_output=True, text=True, timeout=30)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == [f"lacunary.{m}" for m in LOADS[argv]]
+
+    def test_readme_documents_exactly_the_subcommands(self):
+        # the commands in README's CLI block: a removed one must not stay documented
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        documented = set(re.findall(r"\blacunary ([a-z-]+)", block))
+        choices = re.search(r"\{([a-z,-]+)\}", build_parser().format_usage()).group(1)
+        assert documented == set(choices.split(","))
 
     def test_public_names_resolve(self):
         # each exported name loads from its home module; an unknown name is still an error
@@ -336,14 +357,6 @@ class TestSubcommands:
             assert getattr(home, name) is getattr(lacunary, name), name
             assert name in dir(lacunary), name
         assert not hasattr(lacunary, "no_such_name")
-
-    def test_nieto_truax_loads_mpmath_in_a_fresh_process(self):
-        # the deferred import, from a cold start as the installed script runs it
-        env = dict(os.environ, PYTHONPATH=str(Path(lacunary.__file__).parents[1]))
-        proc = subprocess.run([sys.executable, "-m", "lacunary.cli", "nieto-truax", "3", "1"],
-                              env=env, capture_output=True, text=True, timeout=30)
-        assert proc.returncode == 0, proc.stderr
-        assert set(json.loads(proc.stdout)) >= {"real", "imag"}
 
     def test_closed_pipe_exits_quietly(self):
         # more output than a pipe buffer holds, read by a consumer that stops early
@@ -388,27 +401,22 @@ class TestSubcommands:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and "LACUNAE_CAP" in proc.stderr
 
-    @pytest.mark.parametrize("flag,value", [
-        ("--x", "1e100000"), ("--x", "1e2400"), ("--x", "1e100"), ("--lambda", "1e400"),
-        ("--lambda", "1e-400"), ("--y", "1e100000000"),
-    ])
-    def test_nieto_truax_bounds_exact_inputs(self, flag, value):
-        # without the bound, --x 1e100000 runs without end and the other digit counts end
-        # in Python's int-to-str limit when the exact partial sum is printed; without the
-        # exponent check, Fraction spends minutes expanding 1e100000000
-        env = dict(os.environ, PYTHONPATH=str(Path(lacunary.__file__).parents[1]))
-        proc = subprocess.run([sys.executable, "-m", "lacunary.cli", "nieto-truax", "3", "1",
-                               flag, value], env=env, capture_output=True, text=True, timeout=10)
-        assert proc.returncode == 2
-        assert proc.stderr.startswith(f"error: {flag} is too long"), proc.stderr
+    def test_shift_input_past_int_str_limit(self, capsys, monkeypatch):
+        # the interpreter refuses to read a 5000-digit numerator; the CLI names the input
+        term = {"xp": 0, "yp": 0, "num": "7" * 5000, "den": "1"}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"order": 1,
+                                                                  "coeffs": [[term], []]})))
+        assert main(["shift", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: a number in series JSON is past 4300 digits, Python's limit on str-to-int "
+            "conversion; shorten it\n")
 
-    def test_nieto_truax_digit_bound_edge(self, capsys):
-        # H_91 at the defaults: 91 * (s + 1 + 2) <= 4300 admits s = 44 input digits, of
-        # which --lambda 1/10 and --y 1/2 hold 5; so --x may have 38 digits and 1 below
-        assert main(["nieto-truax", "3", "1", "--x", "1e37"]) == 0
-        assert len(json.loads(capsys.readouterr().out)["partial_sum"]) <= 4300
-        assert main(["nieto-truax", "3", "1", "--x", "1e38"]) == 2
-        assert capsys.readouterr().err.startswith("error: --x is too long")
+    def test_normal_order_input_past_int_str_limit(self, capsys):
+        q = json.dumps([{"xp": 0, "yp": 1, "num": "7" * 5000, "den": "1"}])
+        assert main(["normal-order", "--q", q, "--v", V1]) == 2
+        assert capsys.readouterr().err == (
+            "error: a number in --q is past 4300 digits, Python's limit on str-to-int "
+            "conversion; shorten it\n")
 
     def test_normal_order_output_past_int_str_limit(self, capsys):
         # a 3000-digit q coefficient, raised to the 4th power, passes the int-to-str limit
@@ -428,35 +436,6 @@ class TestSubcommands:
         assert capsys.readouterr().err == (
             "error: the output has a number past 4300 digits, Python's limit on int-to-str "
             "conversion; lower the input's order or numbers\n")
-
-    @pytest.mark.parametrize("flag,value", [("--lambda", "1e4000"), ("--x", "1e4000")])
-    def test_nieto_truax_bounds_the_exponent(self, flag, value):
-        # the exact sum is one term; without the bound the numeric path takes 14 s on
-        # --x 1e4000, and on --lambda 1e4000 both exponentials round alike and cancel to 0
-        env = dict(os.environ, PYTHONPATH=str(Path(lacunary.__file__).parents[1]))
-        proc = subprocess.run([sys.executable, "-m", "lacunary.cli", "nieto-truax", "2", "1",
-                               "--terms", "0", flag, value],
-                              env=env, capture_output=True, text=True, timeout=10)
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error: the exponential's argument"), proc.stderr
-
-    @pytest.mark.parametrize("argv", [["2", "1", "--x", "0"], ["3", "1", "--lambda", "0"],
-                                      ["2", "1", "--x", "0", "--y", "0"]], ids=" ".join)
-    def test_nieto_truax_exact_zero(self, capsys, argv):
-        # every term vanishes: H_odd(0, y) = 0, lambda^(nK+L) = 0, H_n(0, 0) = 0 for n > 0
-        assert main(["nieto-truax", *argv]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out == {"real": "0.0", "imag": "0.0", "partial_sum": "0/1"}
-
-    def test_nieto_truax_refuses_cancellation(self, capsys):
-        # e^y sinh(x) at x = 1e-100: e^(y+x) - e^(y-x) cancels 332 bits, more than 256 resolve
-        argv = ["nieto-truax", "2", "1", "--terms", "0", "--lambda", "1", "--x", "1e-100",
-                "--y", "1"]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: the roots-of-unity sum cancels") and "--bits" in err
-        assert main(argv + ["--bits", "1024"]) == 0
-        assert json.loads(capsys.readouterr().out)["real"].startswith("2.71828182845904523536")
 
     def test_normal_order_of_the_hermite_operator(self, capsys):
         # q = 2y, v = x: g = exp(mu x + mu^2 y), the Hermite EGF
@@ -479,18 +458,11 @@ class TestSubcommands:
         ["normal-order", "--q", '[{"xp":1.5,"yp":0,"num":"1","den":"1"}]', "--v", "[]"],
         ["normal-order", "--q", "[]", "--v", '[{"xp":1,"yp":0,"num":"1","den":"1"},'
                                              '{"xp":1,"yp":0,"num":"2","den":"1"}]'],
-        ["nieto-truax", "2", "0", "--lambda", "1/0"],
-        ["nieto-truax", "3", "1", "--x", "abc"],
-        ["nieto-truax", "3", "1", "--terms", "-5"],
-        ["nieto-truax", "3", "1", "--bits", "8193"],
         ["verify", "--kmin", "2", "--nmax", "-1"],
     ], ids=" ".join)
     def test_malformed_input(self, argv, capsys):
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        if argv[-2] in ("--lambda", "--x"):
-            assert err.startswith(f"error: malformed {argv[-2]}: ")
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unopenable_paths(self, capsys, tmp_path):
         missing = tmp_path / "missing"

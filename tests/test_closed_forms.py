@@ -1,12 +1,10 @@
 """Closed-form generating functions vs the brute-force Hermite oracle."""
 
 import ast
-import itertools
 from dataclasses import is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,8 +20,6 @@ from lacunary import (
     hermite_coeff_table,
     hermite_egf,
     hermite_poly,
-    nieto_truax,
-    nieto_truax_partial_sum,
     parity_split_branches,
     resum_corollary1,
     resum_lemma1,
@@ -31,7 +27,6 @@ from lacunary import (
     shift,
 )
 from lacunary import closed_forms
-from lacunary.hypergeom import DomainError
 
 
 class TestPlanStructure:
@@ -249,47 +244,3 @@ class TestRkSeries:
         for L in (-1, 3):
             with pytest.raises(ValueError, match=r"0\.\.2"):
                 rk.hkl(L)
-
-
-class TestNietoTruax:
-    def test_k1_is_plain_exponential(self):
-        lam, x, y = Fraction(1, 10), Fraction(1), Fraction(1, 2)
-        v = nieto_truax(1, 0, lam, x, y, 128)
-        with mpmath.workprec(128):
-            expected = mpmath.exp(
-                mpmath.mpf(1) * mpmath.mpf("0.1") + mpmath.mpf("0.5") * mpmath.mpf("0.01")
-            )
-            assert abs(v.real - expected) < mpmath.mpf(2) ** -100
-            assert abs(v.imag) < mpmath.mpf(2) ** -100
-
-    @pytest.mark.parametrize("K,L", [(2, 0), (3, 1)])
-    def test_matches_partial_sum(self, K, L):
-        lam, x, y = Fraction(1, 10), Fraction(1), Fraction(1, 2)
-        v = nieto_truax(K, L, lam, x, y, 128)
-        oracle = nieto_truax_partial_sum(K, L, lam, x, y, 30)
-        with mpmath.workprec(128):
-            om = mpmath.mpf(oracle.numerator) / oracle.denominator
-            assert abs(v.real - om) < abs(om) * mpmath.mpf(10) ** -20
-            assert abs(v.imag) < mpmath.mpf(10) ** -30
-
-    @pytest.mark.parametrize("K,L", [(K, L) for K in range(1, 5) for L in range(K)])
-    def test_exact_zeros(self, K, L):
-        # lambda, x and y at 0 and off it: a sum whose every term is 0 comes back as exactly
-        # 0 and every other matches the partial sum; none is refused as a cancellation
-        for lam, x, y in itertools.product((0, Fraction(1, 3)), (0, Fraction(1, 2)), (0, 1)):
-            v = nieto_truax(K, L, lam, x, y, 128)
-            oracle = nieto_truax_partial_sum(K, L, lam, x, y, 30)
-            with mpmath.workprec(128):
-                om = mpmath.mpf(oracle.numerator) / oracle.denominator
-                assert abs(v - om) <= abs(om) * mpmath.mpf(10) ** -20, (lam, x, y)
-            assert (v == 0) == (oracle == 0), (lam, x, y)
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            nieto_truax(2, 2, Fraction(1, 10), 1, 1, 128)
-        with pytest.raises(DomainError):
-            nieto_truax(2, 1, Fraction(1, 10), 1, 1, 32)
-        with pytest.raises(DomainError):
-            nieto_truax(2, 1, Fraction(1, 10), 1, 1, precision_bits=8193)
-        with pytest.raises(DomainError):
-            nieto_truax_partial_sum(3, 1, Fraction(1, 10), 1, 1, n_terms=-5)
