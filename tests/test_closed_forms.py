@@ -1,6 +1,7 @@
 """Closed-form generating functions vs the brute-force Hermite oracle."""
 
 import ast
+import itertools
 from dataclasses import is_dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from lacunary import (
     BivarPoly,
+    LambdaSeries,
     NormalOrderResult,
     RkSeries,
     closed_form_HKL,
@@ -244,3 +246,49 @@ class TestRkSeries:
         for L in (-1, 3):
             with pytest.raises(ValueError, match=r"0\.\.2"):
                 rk.hkl(L)
+
+
+def section_partial_sum(K, L, lam, x, y, n_terms):
+    """sum_{n <= n_terms} lam^(nK+L) H_(nK+L)(x, y) / (nK+L)!, from the Hermite oracle:
+    the K-section of the Hermite EGF that Nieto and Truax sum over the K-th roots of unity."""
+    return sum((lam ** (n * K + L) * hermite_poly(n * K + L).evaluate(x, y)
+                / fact(n * K + L) for n in range(n_terms + 1)), Fraction(0))
+
+
+def section_from_closed_form(K, L, lam, x, y, n_terms):
+    """The same sum read off the closed form G_(K,L): n! [lambda^n] G_(K,L) = H_(nK+L)."""
+    G = closed_form_HKL(K, L, n_terms)
+    return sum((lam ** (n * K + L) * G.coeffs[n].evaluate(x, y) * fact(n) / fact(n * K + L)
+                for n in range(n_terms + 1)), Fraction(0))
+
+
+class TestNietoTruax:
+    """The K-section of the Hermite EGF, summed exactly from the closed forms."""
+
+    def test_k1_is_plain_exponential(self):
+        # G_(1,0) is the Hermite EGF exp(x lambda + y lambda^2), built here as sum_j a^j / j!
+        order = 8
+        a = LambdaSeries(order, [BivarPoly(), BivarPoly.monomial(1, 1, 0),
+                                 BivarPoly.monomial(1, 0, 1)] + [BivarPoly()] * (order - 2))
+        exp_a = power = LambdaSeries(order, [1] + [0] * order)
+        for j in range(1, order + 1):
+            power = power * a
+            exp_a = exp_a + power * Fraction(1, fact(j))
+        assert closed_form_HKL(1, 0, order) == exp_a
+
+    @pytest.mark.parametrize("K,L", [(2, 0), (3, 1)])
+    def test_matches_partial_sum(self, K, L):
+        lam, x, y = Fraction(1, 10), Fraction(1), Fraction(1, 2)
+        assert (section_from_closed_form(K, L, lam, x, y, 30)
+                == section_partial_sum(K, L, lam, x, y, 30))
+
+    @pytest.mark.parametrize("K,L", [(K, L) for K in range(1, 5) for L in range(K)])
+    def test_exact_zeros(self, K, L):
+        # lambda, x and y at 0 and off it: the sum is exactly 0 where every term is, for
+        # L > 0 when lambda = 0 or x = y = 0, and when x = 0 and every nK + L is odd, as
+        # H_odd(0, y) = 0; elsewhere every term is >= 0 and one is > 0
+        for lam, x, y in itertools.product((0, Fraction(1, 3)), (0, Fraction(1, 2)), (0, 1)):
+            value = section_from_closed_form(K, L, lam, x, y, 8)
+            assert value == section_partial_sum(K, L, lam, x, y, 8), (lam, x, y)
+            zero = (L > 0 and (lam == 0 or x == y == 0)) or (x == 0 and K % 2 == 0 and L % 2)
+            assert (value == 0) == bool(zero), (lam, x, y)
