@@ -31,9 +31,9 @@ _EXPORTS = {
     "apply_exp_op": "normal_ordering",
     "compose": "normal_ordering",
     "normal_order": "normal_ordering",
+    "RkSeries": "normal_ordering",
     "ClosedFormBranch": "closed_forms",
     "ClosedFormPlan": "closed_forms",
-    "RkSeries": "closed_forms",
     "closed_form_HKL": "closed_forms",
     "closed_form_plan": "closed_forms",
     "rk_series": "closed_forms",

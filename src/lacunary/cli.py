@@ -4,13 +4,12 @@ Subcommands: verify, hermite, closed-form, dilate, shift, normal-order, emit.
 Series travel as JSON (string-encoded integer numerators/denominators); text
 output is canonically ordered and therefore byte-deterministic for identical
 inputs.  Each handler imports what it calls, so a command loads only the
-modules of the package that it runs.
+modules of the package that it runs, and json only when it reads or writes JSON.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import nullcontext
@@ -43,7 +42,10 @@ def _parse(what: str, parse, text: str):
 
 def _render(obj, fmt: str = "json") -> str:
     """obj's text form for --format text, else its JSON, indented."""
-    return str(obj) if fmt == "text" else json.dumps(obj.to_json(), indent=2)
+    if fmt == "text":
+        return str(obj)
+    import json
+    return json.dumps(obj.to_json(), indent=2)
 
 
 def _text(run, args, lower: str) -> str:
@@ -66,6 +68,7 @@ def _write(out: str | None, text: str) -> int:
 
 def _read_series(path: str):
     """The series JSON at path ("-" is stdin), capped by its order."""
+    import json
     from .series import LambdaSeries
     with nullcontext(sys.stdin) if path == "-" else _open(path) as fh:
         text = fh.read()
@@ -90,16 +93,21 @@ def run_verify(args) -> int:
         if k_max < k_min:
             raise ValueError(f"--kmax {k_max} is below --kmin {k_min}: the K range is empty")
         l_min = 0 if args.lmin is None else args.lmin
+        if l_min < 0:
+            raise ValueError(f"--lmin must be >= 0, got {l_min}")
         l_max = l_min if args.lmax is None else args.lmax
         if l_max < l_min:
             raise ValueError(f"--lmax {l_max} is below --lmin {l_min}: the L range is empty")
         n_max = 6 if args.nmax is None else args.nmax
+        if n_max < 0:
+            raise ValueError(f"--nmax must be >= 0, got {n_max}")
         # clipped to 0..13, so a huge range is never built; an end outside 1..12 keeps
         # 0 or 13 (or no K at all) in the sweep, which run_verification refuses
         ks = range(max(k_min, 0), min(k_max, 13) + 1)
         report = run_verification({K: n_max for K in ks}, l_min=l_min, l_max=l_max,
                                   seed=args.seed or 0)
     if args.out:
+        import json
         with _open(args.out, "w") as fh:
             json.dump(report, fh, indent=2)
     for case in report["cases"]:
@@ -145,6 +153,7 @@ def run_shift(args) -> str:
 
 
 def run_normal_order(args) -> str:
+    import json
     from .normal_ordering import SemiLinearOp, normal_order
     from .series import BivarPoly
     q, v = (_parse(f"--{name}", lambda t: BivarPoly.from_json(json.loads(t)), text)

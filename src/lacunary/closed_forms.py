@@ -20,13 +20,11 @@ minimum lambda-power grows with s, so the s-cut is exact.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .hermite import fact, hermite_poly
 from .hypergeom import pfq_series
-from .normal_ordering import SemiLinearOp, exp_action
 from .series import BivarPoly, LambdaSeries
 
 
@@ -147,29 +145,12 @@ def closed_form_HKL(K: int, L: int, order: int) -> LambdaSeries:
     return _evaluate_plan(closed_form_plan(K), L, order)
 
 
-# a dataclass, not a named tuple: bench/selftest.py rebuilds it with dataclasses.replace
-@dataclass(frozen=True)
-class RkSeries:
-    """Bivariate series in (mu, lambda): the EGF of all L-shifted closed forms.
-
-    Equals exp(mu*D) applied to the K-tuple closed form, D = x + 2y d/dx the
-    Hermite raising operator (D H_n = H_(n+1)); ``mu_coeffs`` holds its
-    mu-coefficients, one LambdaSeries per mu-power, and L! times the mu^L
-    coefficient recovers the L-shifted generating function.
-    """
-
-    mu_coeffs: tuple[LambdaSeries, ...]
-
-    def hkl(self, L: int) -> LambdaSeries:
-        """L! * [mu^L], the L-shifted lacunary generating function."""
-        if not 0 <= L < len(self.mu_coeffs):
-            raise ValueError(f"L must lie in 0..{len(self.mu_coeffs) - 1}, got {L}")
-        return self.mu_coeffs[L] * fact(L)
-
-
-def rk_series(K: int, mu_order: int, lambda_order: int) -> RkSeries:
-    """exp(mu*D) G_K(lambda; x, y): D^L / L! on every lambda-coefficient of the
-    K-tuple closed form, D = x + 2y d/dx applied once per mu-power."""
+def rk_series(K: int, mu_order: int, lambda_order: int):
+    """exp(mu*D) G_K(lambda; x, y) as an RkSeries: D^L / L! on every lambda-coefficient
+    of the K-tuple closed form, D = x + 2y d/dx applied once per mu-power."""
+    # imported here: a process that only evaluates closed forms loads neither
+    # normal_ordering nor the dataclasses module behind RkSeries
+    from .normal_ordering import RkSeries, SemiLinearOp, exp_action
     if mu_order < 0 or lambda_order < 0:
         raise ValueError("orders must be >= 0")
     raising = SemiLinearOp(q=BivarPoly.monomial(2, 0, 1), v=BivarPoly.monomial(1, 1, 0))

@@ -14,7 +14,8 @@ read off the same powers, so it costs O(deg * order^2) polynomial products
 for deg the larger x-degree of q and v.  Every sum of products goes through
 :meth:`BivarPoly.dot`.  `exp_action` is the one loop that
 expands exp(mu*A) f = sum_k mu^k A^k f / k! directly; `apply_exp_op` and
-:func:`lacunary.closed_forms.rk_series` use it.  `apply_exp_op` computes
+:func:`lacunary.closed_forms.rk_series` use it; `RkSeries`, the value that
+`rk_series` returns, is defined here.  `apply_exp_op` computes
 both that direct operator exponential and the (g, T) route and insists
 they agree, making the module a self-testing witness for the
 normal-ordering theorem.
@@ -50,6 +51,26 @@ class NormalOrderResult:
 
     T_series: LambdaSeries
     g_series: LambdaSeries
+
+
+# a dataclass, not a named tuple: bench/selftest.py rebuilds it with dataclasses.replace
+@dataclass(frozen=True)
+class RkSeries:
+    """Bivariate series in (mu, lambda): the EGF of all L-shifted closed forms.
+
+    Equals exp(mu*D) applied to the K-tuple closed form, D = x + 2y d/dx the
+    Hermite raising operator (D H_n = H_(n+1)); ``mu_coeffs`` holds its
+    mu-coefficients, one LambdaSeries per mu-power, and L! times the mu^L
+    coefficient recovers the L-shifted generating function.
+    """
+
+    mu_coeffs: tuple[LambdaSeries, ...]
+
+    def hkl(self, L: int) -> LambdaSeries:
+        """L! * [mu^L], the L-shifted lacunary generating function."""
+        if not 0 <= L < len(self.mu_coeffs):
+            raise ValueError(f"L must lie in 0..{len(self.mu_coeffs) - 1}, got {L}")
+        return self.mu_coeffs[L] * fact(L)
 
 
 def _x_coefficients(p: BivarPoly) -> dict[int, BivarPoly]:

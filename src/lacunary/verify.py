@@ -49,9 +49,8 @@ def first_diff_poly(diff: BivarPoly, lam_power: int) -> dict | None:
 def first_diff_series(a: LambdaSeries, b: LambdaSeries) -> dict | None:
     """The first differing term; the shorter of two series differs where it stops."""
     for n in range(min(a.order, b.order) + 1):
-        d = first_diff_poly(a.coeffs[n] - b.coeffs[n], n)
-        if d is not None:
-            return d
+        if a.coeffs[n] != b.coeffs[n]:  # equal coefficients need no subtraction
+            return first_diff_poly(a.coeffs[n] - b.coeffs[n], n)
     return None if a.order == b.order else {"lp": min(a.order, b.order) + 1, "missing": True}
 
 
@@ -86,8 +85,8 @@ def coefficient_cases(K: int, L: int, n_max: int) -> list[dict]:
         if n > series.order:  # a short closed form fails at each power it lacks
             cases.append(_case(K, L, n, {"lp": n, "missing": True}))
             continue
-        diff = series.coeffs[n] * Fraction(fact(n)) - hermite_poly(n * K + L)
-        cases.append(_case(K, L, n, first_diff_poly(diff, n)))
+        got, want = series.coeffs[n] * Fraction(fact(n)), hermite_poly(n * K + L)
+        cases.append(_case(K, L, n, None if got == want else first_diff_poly(got - want, n)))
     return cases
 
 

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,8 +17,9 @@ import lacunary
 import lacunary.operators
 from lacunary.cli import build_parser, main
 from lacunary.closed_forms import closed_form_HKL
-from lacunary.series import LambdaSeries
-from lacunary.verify import RESUM_ORDER, run_verification
+from lacunary.hermite import hermite_egf
+from lacunary.series import BivarPoly, LambdaSeries
+from lacunary.verify import RESUM_ORDER, first_diff_series, run_verification
 
 
 CAPPED = [
@@ -58,10 +60,25 @@ LOADS = {
     ("shift", "1"): ["cli", "hermite", "operators", "series"],
     ("normal-order", "--q", Q1, "--v", V1): ["cli", "hermite", "normal_ordering", "series"],
     ("closed-form", "4", "1", "--format", "json"):
-        ["cli", "closed_forms", "hermite", "hypergeom", "normal_ordering", "series"],
-    ("verify", "--kmin", "2", "--nmax", "1"): ["cli", "closed_forms", "hermite", "hypergeom",
-                                                "normal_ordering", "operators", "series",
-                                                "verify"],
+        ["cli", "closed_forms", "hermite", "hypergeom", "series"],
+    ("verify", "--kmin", "2", "--nmax", "1"):
+        ["cli", "closed_forms", "hermite", "hypergeom", "operators", "series", "verify"],
+}
+# a fresh process that runs one command, then prints the modules it added to sys.modules:
+# the difference, since site may have loaded any of them before
+ADDED = """
+import sys
+before = set(sys.modules)
+from lacunary.cli import main
+status = main(sys.argv[1:])
+print(" ".join(sorted(set(sys.modules) - before)))
+sys.exit(status)
+"""
+# stdlib modules that a command does not run, so does not load
+UNLOADED = {
+    ("verify",): {"json", "dataclasses"},
+    ("hermite", "45"): {"json", "dataclasses"},
+    ("closed-form", "4", "1", "--format", "json"): {"dataclasses"},
 }
 # SHA-256 of the stdout of each command, as the code printed it when the pins were taken
 PINNED = {
@@ -262,6 +279,11 @@ class TestVerify:
         expected = run_verification({2: 1}, l_min=2, l_max=2)["cases"]
         assert json.loads(out.read_text())["cases"] == expected
 
+    @pytest.mark.parametrize("flag", ["--lmin", "--nmax"])
+    def test_negative_flag_is_refused_by_name(self, flag, capsys):
+        assert main(["verify", "--kmin", "2", flag, "-1"]) == 2
+        assert capsys.readouterr().err == f"error: {flag} must be >= 0, got -1\n"
+
     def test_empty_l_range_is_refused_by_name(self, capsys):
         assert main(["verify", "--kmin", "2", "--lmin", "3", "--lmax", "1"]) == 2
         assert capsys.readouterr().err == ("error: --lmax 1 is below --lmin 3: "
@@ -299,6 +321,38 @@ class TestVerify:
         cases = json.loads(out.read_text())["cases"]
         assert [c["diff_term"] for c in cases if not c["pass"]] == [
             {"lp": RESUM_ORDER, "missing": True}] * 3
+
+    def test_wrong_resummation_fails_at_its_term(self, capsys, monkeypatch, tmp_path):
+        # one monomial added at lambda^2 is the first differing term of each resummation case
+        resum = lacunary.operators._resum
+        extra = BivarPoly.monomial(Fraction(3, 7), 1, 2)
+
+        def wrong(*args):
+            series = resum(*args)
+            return LambdaSeries(series.order, [c + extra if n == 2 else c
+                                               for n, c in enumerate(series.coeffs)])
+
+        monkeypatch.setattr("lacunary.operators._resum", wrong)
+        out = tmp_path / "report.json"
+        assert main(["verify", "--kmin", "2", "--nmax", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().out.splitlines()[-1].startswith("2 passed, 3 failed (")
+        cases = json.loads(out.read_text())["cases"]
+        assert [c["diff_term"] for c in cases if not c["pass"]] == [
+            {"lp": 2, "xp": 1, "yp": 2, "num": "3", "den": "7"}] * 3
+
+    def test_first_diff_series(self):
+        a = hermite_egf(4)
+        b = LambdaSeries(4, [c + (BivarPoly.monomial(-5, 0, 3) if n == 3 else 0)
+                             for n, c in enumerate(a.coeffs)])
+        assert first_diff_series(a, hermite_egf(4)) is None
+        assert first_diff_series(a, b) == {"lp": 3, "xp": 0, "yp": 3, "num": "5", "den": "1"}
+        assert first_diff_series(b, a) == {"lp": 3, "xp": 0, "yp": 3, "num": "-5", "den": "1"}
+        # a short series differs where it stops, in either argument
+        short = LambdaSeries(2, a.coeffs[:3])
+        assert first_diff_series(a, short) == first_diff_series(short, a) == {
+            "lp": 3, "missing": True}
+        # a difference before the shorter one stops comes first
+        assert first_diff_series(b, LambdaSeries(3, a.coeffs[:4]))["lp"] == 3
 
     def test_short_closed_form_fails(self, monkeypatch):
         # a closed form one lambda-power short fails its last case instead of raising
@@ -341,6 +395,18 @@ class TestSubcommands:
                               input=SMALL_SERIES, capture_output=True, text=True, timeout=30)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == [f"lacunary.{m}" for m in LOADS[argv]]
+
+    @pytest.mark.parametrize("argv", UNLOADED, ids=[a[0] for a in UNLOADED])
+    def test_fresh_process_skips_stdlib_modules_it_does_not_run(self, argv):
+        # verify without --out and text output write no JSON; only rk_series and normal-order
+        # build a dataclass
+        env = dict(os.environ, PYTHONPATH=str(Path(lacunary.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", ADDED, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        added = set(proc.stdout.splitlines()[-1].split())
+        assert "lacunary.cli" in added
+        assert not added & UNLOADED[argv], added & UNLOADED[argv]
 
     def test_readme_documents_exactly_the_subcommands(self):
         # the commands in README's CLI block: a removed one must not stay documented
