@@ -92,6 +92,9 @@ def run_verify(args) -> int:
         k_max = k_min if args.kmax is None else args.kmax
         if k_max < k_min:
             raise ValueError(f"--kmax {k_max} is below --kmin {k_min}: the K range is empty")
+        for flag, K in (("--kmin", k_min), ("--kmax", k_max)):
+            if not 1 <= K <= 12:
+                raise ValueError(f"{flag} must lie within 1..12, got {K}")
         l_min = 0 if args.lmin is None else args.lmin
         if l_min < 0:
             raise ValueError(f"--lmin must be >= 0, got {l_min}")
@@ -101,11 +104,8 @@ def run_verify(args) -> int:
         n_max = 6 if args.nmax is None else args.nmax
         if n_max < 0:
             raise ValueError(f"--nmax must be >= 0, got {n_max}")
-        # clipped to 0..13, so a huge range is never built; an end outside 1..12 keeps
-        # 0 or 13 (or no K at all) in the sweep, which run_verification refuses
-        ks = range(max(k_min, 0), min(k_max, 13) + 1)
-        report = run_verification({K: n_max for K in ks}, l_min=l_min, l_max=l_max,
-                                  seed=args.seed or 0)
+        report = run_verification({K: n_max for K in range(k_min, k_max + 1)},
+                                  l_min=l_min, l_max=l_max, seed=args.seed or 0)
     if args.out:
         import json
         with _open(args.out, "w") as fh:

@@ -99,21 +99,22 @@ def table_egf(table: CoeffTable, order: int) -> LambdaSeries:
         * Fraction(1, fact(n)) for n in range(order + 1)])
 
 
-def resummation_cases(K: int, seed: int, order: int = RESUM_ORDER) -> list[dict]:
+def resummation_cases(K: int, seed: int) -> list[dict]:
     """Each resummation of a single K against brute-force dilatation: Lemma 1 and
     the parity split (whose odd part is zero) on the Hermite table, and Lemma 1 on
     a seeded dense table with no parity constraint."""
     table = hermite_coeff_table()
-    oracle = dilate_bruteforce(hermite_egf(K * order), K)
-    even, odd = resum_corollary1(table, K, order)
+    oracle = dilate_bruteforce(hermite_egf(K * RESUM_ORDER), K)
+    even, odd = resum_corollary1(table, K, RESUM_ORDER)
     dense = random_dense_table(seed)
-    dense_oracle = dilate_bruteforce(table_egf(dense, K * order), K)
+    dense_oracle = dilate_bruteforce(table_egf(dense, K * RESUM_ORDER), K)
     return [
-        _case(K, None, order, first_diff_series(resum_lemma1(table, K, order), oracle),
-              "lemma1_oracle"),
-        _case(K, None, order, first_diff_series(even, oracle)
-              or first_diff_series(odd, LambdaSeries(order)), "parity_split:hermite"),
-        _case(K, None, order, first_diff_series(resum_lemma1(dense, K, order), dense_oracle),
+        _case(K, None, RESUM_ORDER,
+              first_diff_series(resum_lemma1(table, K, RESUM_ORDER), oracle), "lemma1_oracle"),
+        _case(K, None, RESUM_ORDER, first_diff_series(even, oracle)
+              or first_diff_series(odd, LambdaSeries(RESUM_ORDER)), "parity_split:hermite"),
+        _case(K, None, RESUM_ORDER,
+              first_diff_series(resum_lemma1(dense, K, RESUM_ORDER), dense_oracle),
               f"lemma1_oracle:{dense.name}"),
     ]
 

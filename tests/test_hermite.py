@@ -73,7 +73,7 @@ class TestHermitePoly:
         for n in range(20):
             h = hermite_poly(n)
             assert h.degree_x() == n
-            assert h.coefficient(n, 0) == 1
+            assert h.terms.get((n, 0), 0) == 1
             # H_n(x, 0) = x^n: y-free part is the single monomial x^n
             y_free = {k: c for k, c in h.terms.items() if k[1] == 0}
             assert y_free == {(n, 0): Fraction(1)}

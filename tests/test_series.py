@@ -45,7 +45,7 @@ class TestBivarPoly:
 
     def test_lowest_terms(self):
         p = BivarPoly.monomial(Fraction(2, 4), 1, 0)
-        c = p.coefficient(1, 0)
+        c = p.terms.get((1, 0), 0)
         assert (c.numerator, c.denominator) == (1, 2)
 
     def test_string_and_json_roundtrip(self):
@@ -73,13 +73,15 @@ class TestBivarPoly:
         assert zero == BivarPoly() and zero.den == 1
         assert BivarPoly.dot([]) == BivarPoly()
 
-    def test_constant_hash_agrees_with_eq(self):
-        assert hash(BivarPoly.monomial(1, 0, 0)) == hash(1)
-        assert hash(BivarPoly()) == hash(0)
-        assert BivarPoly.monomial(Fraction(1, 2), 0, 0) in {Fraction(1, 2)}
-        assert {0: "zero", 3: "three"}[BivarPoly.monomial(3, 0, 0)] == "three"
-        assert 0 in {BivarPoly()}
-        assert len({BivarPoly.monomial(1, 0, 0), 1, Fraction(1)}) == 1
+    def test_operands_are_polynomials_only(self):
+        # + - and == take two polynomials; only * also scales by an int or a Fraction
+        p = BivarPoly.monomial(1, 1, 0)
+        for op in (lambda: p + 1, lambda: 1 + p, lambda: p - 1, lambda: 1 - p,
+                   lambda: p + Fraction(1, 2), lambda: hash(p)):
+            with pytest.raises(TypeError):
+                op()
+        assert (p == 1) is False and (BivarPoly() == 0) is False
+        assert "__radd__" in BivarPoly.__dict__  # bench/tracer.py patches it by name
 
     def test_floats_refused(self):
         # a float is not exact: the constructors refuse it, as the ring operators do
@@ -106,7 +108,7 @@ class TestCollect:
         assert s.coeffs[0].is_zero()
         assert s.coeffs[1].terms == {(1, 0): Fraction(5, 6)}
         assert s.coeffs[2].terms == {(2, 2): Fraction(4)}
-        assert isinstance(s.coeffs[2].coefficient(2, 2), Fraction)
+        assert isinstance(s.coeffs[2].terms.get((2, 2), 0), Fraction)
 
     def test_order_is_one_less_than_the_buckets(self):
         assert LambdaSeries.collect([{}]) == LambdaSeries(0)
@@ -152,7 +154,7 @@ def assert_is(p: BivarPoly, ref: dict):
     assert all(type(v) is int and v != 0 for v in p.num.values())
     assert gcd(p.den, *p.num.values()) == 1
     assert dict(p.terms) == ref
-    assert p == BivarPoly(ref) and hash(p) == hash(BivarPoly(ref))
+    assert p == BivarPoly(ref)
 
 
 class TestLayout:
@@ -169,7 +171,7 @@ class TestLayout:
         assert_is(pa * pb, ref_mul(ra, rb))
         assert_is(pa * c, reference({k: v * c for k, v in ra.items()}))
         assert_is(pa * c.numerator, reference({k: v * c.numerator for k, v in ra.items()}))
-        assert_is(pa + c, ref_add(ra, {(0, 0): c}))
+        assert_is(pa + BivarPoly.monomial(c, 0, 0), ref_add(ra, {(0, 0): c}))
         assert_is(pa.diff_x(times), ref_diff_x(ra, times))
 
     @given(st.lists(st.dictionaries(
@@ -200,13 +202,8 @@ class TestLayout:
         assert str(p) == (" + ".join(parts) if parts else "0")
         for xp in range(4):
             for yp in range(4):
-                c = p.coefficient(xp, yp)
+                c = p.terms.get((xp, yp), Fraction(0))
                 assert type(c) is Fraction and c == ref.get((xp, yp), 0)
-
-    @given(rationals)
-    def test_constant_hashes_like_its_number(self, c):
-        assert hash(BivarPoly.monomial(c, 0, 0)) == hash(c)
-        assert BivarPoly.monomial(c, 0, 0) == c
 
     def test_terms_is_a_read_only_view(self):
         # terms is a fresh dict: writing to it leaves the polynomial as it was
@@ -232,7 +229,8 @@ class TestSeriesAdd:
         a = LambdaSeries(3, [0, 1, 0, 0])
         b = LambdaSeries(3, [0, 0, 1, 0])
         s = a + b
-        assert s.coeffs[1] == 1 and s.coeffs[2] == 1 and s.coeffs[3].is_zero()
+        one = BivarPoly.monomial(1, 0, 0)
+        assert s.coeffs[1] == one and s.coeffs[2] == one and s.coeffs[3].is_zero()
 
 
 class TestSeriesMul:
@@ -266,7 +264,7 @@ class TestDiffLambda:
         a = LambdaSeries(3, [0, 0, 0, 1])
         d = shift(a, 2)
         assert d.order == 1
-        assert d.coeffs[1] == 6
+        assert d.coeffs[1] == BivarPoly.monomial(6, 0, 0)
         assert d.coeffs[0].is_zero()
 
     def test_underflow_error(self):
