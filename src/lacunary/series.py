@@ -3,13 +3,16 @@
 No floating point enters this module.  A :class:`BivarPoly` is a sparse
 polynomial in the variables ``x`` and ``y``, stored as integer numerators
 over one positive integer denominator (the layout of FLINT's ``fmpq_poly``):
-ring operations do integer work, with one ``lcm`` per sum and one ``gcd``
-per result.  Its coefficients read as ``fractions.Fraction``.  Two
-polynomials multiply, and add, in one place, :meth:`BivarPoly.dot`, a sum
-of products over one ``lcm``.  A :class:`LambdaSeries` is a formal power
-series in a third variable (written ``lambda`` in most of the package,
-``mu`` in the normal-ordering code) truncated at an explicit inclusive
-order, with ``BivarPoly`` coefficients.
+ring operations do integer work.  A sum takes one ``lcm`` of the
+denominators and one ``gcd`` pass over the numerators.  A scalar product
+cross-cancels: it takes no ``gcd`` over the numerators for an ``int``, and
+reuses them uncopied when the cancellation leaves them a factor of 1.
+Its coefficients read as ``fractions.Fraction``.  Two polynomials multiply,
+and add, in one place, :meth:`BivarPoly.dot`, a sum of products over one
+``lcm``.  A :class:`LambdaSeries` is a formal power series in a third
+variable (written ``lambda`` in most of the package, ``mu`` in the
+normal-ordering code) truncated at an explicit inclusive order, with
+``BivarPoly`` coefficients.
 
 Truncation semantics: binary operations on two series combine orders with
 ``min`` and silently truncate -- the result is exact for every coefficient
@@ -135,7 +138,11 @@ class BivarPoly:
     __radd__ = __add__  # bench/tracer.py patches the operator by this name
 
     def __neg__(self):
-        return BivarPoly.from_numerators({k: -v for k, v in self.num.items()}, self.den)
+        # negation keeps gcd(den, *numerators) = 1, so no gcd pass is needed
+        out = BivarPoly.__new__(BivarPoly)
+        out.num = {k: -v for k, v in self.num.items()}
+        out.den = self.den
+        return out
 
     def __sub__(self, other):
         if not isinstance(other, BivarPoly):
@@ -146,9 +153,24 @@ class BivarPoly:
         if isinstance(other, (Fraction, int)):
             if not other:
                 return BivarPoly()
-            n = other.numerator
-            return BivarPoly.from_numerators({k: v * n for k, v in self.num.items()},
-                                             self.den * other.denominator)
+            # Cross-cancellation (Knuth, TAOCP 4.5.1): N/D and n/d are in lowest
+            # terms; g = gcd(n, D), h = gcd(d, *N).  A prime of D/g is not in n/g,
+            # and not in every N/h, as gcd(D, *N) = 1; a prime p of d/h is not in
+            # n, and not in every N/h, as p*h would divide h.  So the result
+            # (N/h)(n/g) / (D/g)(d/h) is in lowest terms, and its den stays > 0.
+            # A factor of 1 leaves N as it is, shared, as polynomials are immutable.
+            n, d, num, den = other.numerator, other.denominator, self.num, self.den
+            g = gcd(n, den)
+            h = gcd(d, *num.values()) if d != 1 else 1
+            n //= g
+            if h != 1:
+                num = {k: v // h * n for k, v in num.items()}
+            elif n != 1:
+                num = {k: v * n for k, v in num.items()}
+            out = BivarPoly.__new__(BivarPoly)
+            out.num = num
+            out.den = den // g * (d // h)
+            return out
         if not isinstance(other, BivarPoly):
             return NotImplemented
         return BivarPoly.dot(((self, other),))
@@ -236,7 +258,9 @@ def _merge(by_den: dict) -> BivarPoly:
             for k, v in acc.items():
                 v *= f
                 num[k] = num[k] + v if k in num else v
-    return BivarPoly.from_numerators({k: v for k, v in num.items() if v}, den)
+    if 0 in num.values():  # only a sum that cancelled holds a zero
+        num = {k: v for k, v in num.items() if v}
+    return BivarPoly.from_numerators(num, den)
 
 
 class LambdaSeries:
@@ -274,7 +298,8 @@ class LambdaSeries:
         sums[p] is {den: {(xp, yp): num}}, integer numerators each over its
         den > 0, which a producer fills in place; the order is len(sums) - 1.
         Each lambda-power is merged once, over the lcm of its denominators, so
-        sums of zero vanish.
+        sums of zero vanish.  A lone bucket's dict may become the result's
+        numerators as it is: the producer must not reuse its buckets after the call.
         """
         return cls(len(sums) - 1, [_merge(by_den) for by_den in sums])
 

@@ -123,6 +123,14 @@ PINNED_CHAIN = [
     (("dilate", "2"), "7d5ce190bdc0b90dc0afcedb5bc98acde369edaccb9049e5a43ad2c790df2871"),
     (("shift", "1"), "2d3ccb9a27655709f62b67ab116f5fd25e5d45bd0bbe9f2df33245e73edb2944"),
 ]
+# emit egf --order 40, then dilate 4 and shift 3: the scalars n!/(n/4)! and (n+3)!/n!
+# cancel against large denominators, so a wrong cancellation shows here
+PINNED_CHAIN_40 = [
+    (("emit", "egf", "--order", "40"),
+     "f6db8429def1276af29e131803d4d681a2a4cc2250428844c91a3ca62f1895aa"),
+    (("dilate", "4"), "e0d776c437e0afa9d6bb4a26596428049a101d9b137dc3fe91ae7c0ae9c58d66"),
+    (("shift", "3"), "fb1b9d372ece3d2ab3696c36452b264ce86210f9581a4b342c5e06b8958b9f21"),
+]
 
 
 def stdout_of(capsys, *argv: str) -> str:
@@ -138,13 +146,14 @@ def test_outputs_are_pinned(capsys, tmp_path):
     # exact arithmetic prints the same bytes on every run and after every refactor
     for argv, digest in PINNED.items():
         assert sha256(stdout_of(capsys, *argv)) == digest, argv
-    infile = []
-    for i, (argv, digest) in enumerate(PINNED_CHAIN):
-        text = stdout_of(capsys, *argv, *infile)
-        assert sha256(text) == digest, argv
-        path = tmp_path / f"stage{i}.json"
-        path.write_text(text)
-        infile = ["--in", str(path)]
+    for chain in (PINNED_CHAIN, PINNED_CHAIN_40):
+        infile = []
+        for argv, digest in chain:
+            text = stdout_of(capsys, *argv, *infile)
+            assert sha256(text) == digest, argv
+            path = tmp_path / f"{argv[0]}.json"
+            path.write_text(text)
+            infile = ["--in", str(path)]
 
 
 class TestEmitSeries:

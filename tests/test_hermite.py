@@ -17,6 +17,7 @@ from lacunary import (
     random_dense_table,
 )
 from lacunary.hermite import _hermite_entry
+from lacunary.verify import _MASK, _mix
 
 
 def classical_hermite(n):
@@ -140,6 +141,18 @@ class TestCoeffTable:
         want = [(m, g.num, g.den) for m in ms for g in (_hermite_entry(r, m),) if g.num]
         assert hermite_coeff_table().row(r, ms) == want
         assert CoeffTable(generator=_hermite_entry).row(r, ms) == want
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_dense_entries_match_their_fraction_form(self, seed):
+        # the dense table wraps integer numerators; read as Fractions they are the
+        # reduced num/den * y^yp that one splitmix64 hash of (seed, r, m) gives
+        table, key = random_dense_table(seed), _mix(seed & _MASK)
+        for r in range(40):
+            for m in range(40):
+                h = _mix((_mix((key + r) & _MASK) + m) & _MASK)
+                want = BivarPoly.monomial(Fraction(h % 19 - 9, h // 19 % 6 + 1), 0, h // 114 % 3)
+                got = table(r, m)
+                assert got == want and got.terms == want.terms, (r, m)
 
     def test_row_refuses_negative_indices(self):
         for table in (hermite_coeff_table(), random_dense_table(seed=1)):

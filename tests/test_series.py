@@ -73,6 +73,40 @@ class TestBivarPoly:
         assert zero == BivarPoly() and zero.den == 1
         assert BivarPoly.dot([]) == BivarPoly()
 
+    def test_scalar_product_cancels_an_int_against_den(self):
+        p = BivarPoly.monomial(Fraction(1, 6), 1, 0) * 4
+        assert (p.num, p.den) == ({(1, 0): 2}, 3)
+        # a scalar that the denominator absorbs leaves the numerators uncopied
+        p = BivarPoly({(1, 0): Fraction(5, 12), (0, 1): Fraction(1, 12)})
+        q = p * 3
+        assert q.num is p.num and (q.num, q.den) == ({(1, 0): 5, (0, 1): 1}, 4)
+
+    def test_scalar_product_cancels_a_denominator_against_the_numerators(self):
+        p = BivarPoly({(1, 0): 4, (0, 1): 6}) * Fraction(1, 2)
+        assert (p.num, p.den) == ({(1, 0): 2, (0, 1): 3}, 1)
+
+    def test_scalar_product_cancels_both_ways(self):
+        p = BivarPoly.monomial(Fraction(3, 4), 1, 0) * Fraction(2, 9)
+        assert (p.num, p.den) == ({(1, 0): 1}, 6)
+
+    def test_negative_scalars_keep_den_positive(self):
+        p = BivarPoly({(1, 0): Fraction(3, 4), (0, 1): Fraction(1, 6)})
+        for c in (-1, -6, Fraction(-2, 9), Fraction(-12, 5)):
+            q = p * c
+            assert q.den > 0 and gcd(q.den, *q.num.values()) == 1
+            assert q.terms == {k: v * c for k, v in p.terms.items()}
+        assert (-p).den == p.den and -(-p) == p
+
+    def test_zero_times_a_fraction_is_zero_over_one(self):
+        for c in (Fraction(1, 7), Fraction(-3, 7), 5):
+            z = BivarPoly() * c
+            assert z == BivarPoly() and (z.num, z.den) == ({}, 1)
+
+    def test_a_sum_that_cancels_is_zero_over_one(self):
+        p = BivarPoly({(1, 0): Fraction(3, 4), (0, 1): Fraction(1, 6)})
+        z = p + (-p)
+        assert z == BivarPoly() and (z.num, z.den) == ({}, 1)
+
     def test_operands_are_polynomials_only(self):
         # + - and == take two polynomials; only * also scales by an int or a Fraction
         p = BivarPoly.monomial(1, 1, 0)
@@ -109,6 +143,22 @@ class TestCollect:
         assert s.coeffs[1].terms == {(1, 0): Fraction(5, 6)}
         assert s.coeffs[2].terms == {(2, 2): Fraction(4)}
         assert isinstance(s.coeffs[2].terms.get((2, 2), 0), Fraction)
+
+    def test_a_bucket_whose_terms_all_cancel_is_zero_over_one(self):
+        s = LambdaSeries.collect([{4: {(1, 0): 3, (0, 2): -1}, 8: {(1, 0): -6, (0, 2): 2}},
+                                  {6: {(1, 1): 5, (2, 0): -5}}])
+        assert (s.coeffs[0].num, s.coeffs[0].den) == ({}, 1)
+        assert (s.coeffs[1].num, s.coeffs[1].den) == ({(1, 1): 5, (2, 0): -5}, 6)
+
+    def test_the_callers_buckets_are_left_unchanged(self):
+        sums = [{6: {(1, 0): 4, (0, 1): 0}}, {6: {(1, 0): 4, (0, 1): 2}},
+                {2: {(1, 0): 1}, 3: {(1, 0): 1}}]
+        before = [{d: dict(acc) for d, acc in by_den.items()} for by_den in sums]
+        s = LambdaSeries.collect(sums)
+        assert sums == before
+        assert [c.terms for c in s.coeffs] == [{(1, 0): Fraction(2, 3)},
+                                               {(1, 0): Fraction(2, 3), (0, 1): Fraction(1, 3)},
+                                               {(1, 0): Fraction(5, 6)}]
 
     def test_order_is_one_less_than_the_buckets(self):
         assert LambdaSeries.collect([{}]) == LambdaSeries(0)
