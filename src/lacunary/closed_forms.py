@@ -42,7 +42,7 @@ class ClosedFormPlan(namedtuple("ClosedFormPlan", "K den upper arg branches")):
     (K for even K, 2K for odd K): at lambda-power p the upper parameters are
     (K*p + j)/den for j in ``upper``, and a branch's lower ones are m/den for m in
     its ``lower``.  The block argument is coef * lambda^lp * y^yp for
-    (coef, lp, yp) = ``arg``.
+    (coef, lp, yp) = ``arg``, coef an integer: the layout ``pfq_series`` takes.
     """
 
     __slots__ = ()
@@ -121,13 +121,12 @@ def _evaluate_plan(plan: ClosedFormPlan, L: int, order: int) -> LambdaSeries:
     sums = [{} for _ in range(order + 1)]
     for d, b, lower in plan.branches:
         parts = _leibniz_parts(H, b)
-        lower = [(m, den) for m in lower]
         for p0 in range(d, order + 1):
             n = K * p0
             pref = _leibniz_prefactor(n - 2 * b, parts).items()
             ratio, p0_fact = fact(n) // (fact(n - 2 * b) * fact(b)), fact(p0)
-            upper = [(n + j, den) for j in plan.upper]
-            block = pfq_series(upper, lower, (coef, 1), (order - p0) // lp + 1)
+            block = pfq_series([n + j for j in plan.upper], lower, den, coef,
+                               (order - p0) // lp + 1)
             for t, (bn, bd) in enumerate(block):
                 bn *= ratio
                 acc = sums[p0 + t * lp].setdefault(bd * p0_fact, {})

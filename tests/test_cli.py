@@ -92,6 +92,10 @@ PINNED = {
         "88748a039afc4675ccd0c4c8ad7a3a8adf31ecc9b7908521a493216d3c6ee059",
     ("closed-form", "7", "2", "--order", "6", "--format", "json"):
         "19e7b2532b21ea40c0ce4131006e0970564f29ba0f2ac69f6ca9f31dd8cf3beb",
+    ("closed-form", "11", "2", "--order", "4", "--format", "json"):
+        "86bc7a48971c9efc7c15f03bd07d330d23f303616bf662f70102a8943c68c5fb",
+    ("closed-form", "12", "3", "--order", "3", "--format", "json"):
+        "a6e68be83d7bb73ddbbaba27cefac859a19732679734666a4848d5c52495f947",
     ("closed-form", "3", "1", "--order", "5"):
         "f2e5c9d0acc1d660c19a2cbece5d58ba349dc6fc7b961fcc2069ddcd41899f02",
     ("hermite", "30", "--format", "json"):
