@@ -23,7 +23,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
-from .hermite import fact, hermite_poly
+from .hermite import fact
 from .hypergeom import pfq_series
 from .series import BivarPoly, LambdaSeries
 
@@ -82,15 +82,14 @@ def closed_form_plan(K: int) -> ClosedFormPlan:
         for b in range(P)))
 
 
-def _leibniz_parts(H: list[dict], y_power: int) -> list[dict]:
-    """The s-free factors q! C(L,q) 2^q H_(L-q) y^(q+y_power), q = 0 ... L, as numerators.
-
-    H holds the numerators of H_0 ... H_L, so L = len(H) - 1.
-    """
-    L = len(H) - 1
-    return [{(hx, hy + q + y_power): fact(q) * comb(L, q) * 2**q * v
-             for (hx, hy), v in H[L - q].items()}
-            for q in range(L + 1)]
+def _leibniz_parts(L: int, y_power: int, top: int) -> list[dict]:
+    """The s-free factors q! C(L,q) 2^q H_(L-q) y^(q+y_power) as numerators from factorials,
+    2^q L! / ((L-q-2k)! k!) at x^(L-q-2k) y^(k+q+y_power), for q <= min(L, top) only:
+    _leibniz_prefactor reads parts[q] up to its x-power, at most top = K*order - 2*y_power."""
+    lf = fact(L)
+    return [{(L - q - 2 * k, k + q + y_power): (lf << q) // (fact(L - q - 2 * k) * fact(k))
+             for k in range((L - q) // 2 + 1)}
+            for q in range(min(L, top) + 1)]
 
 
 def _leibniz_prefactor(P: int, parts: list[dict]) -> dict:
@@ -117,10 +116,9 @@ def _evaluate_plan(plan: ClosedFormPlan, L: int, order: int) -> LambdaSeries:
     cut so that its last term stays within the order.
     """
     K, den, (coef, lp, yp_step) = plan.K, plan.den, plan.arg
-    H = [hermite_poly(j).num for j in range(L + 1)]
     sums = [{} for _ in range(order + 1)]
     for d, b, lower in plan.branches:
-        parts = _leibniz_parts(H, b)
+        parts = _leibniz_parts(L, b, K * order - 2 * b)
         for p0 in range(d, order + 1):
             n = K * p0
             pref = _leibniz_prefactor(n - 2 * b, parts).items()

@@ -8,12 +8,9 @@ and the parity split on the Hermite table, and Lemma 1 on a seeded dense
 table with no parity constraint.  On failure a report pinpoints the first
 differing monomial.
 
-The two sides of a check share no loop, but they do share some code.  For
-L > 0, closed_forms._evaluate_plan builds H_0 ... H_L with hermite_poly,
-which is also the oracle of coefficient_cases.  hermite_egf, the input of
-the brute-force dilatation, and hermite_poly both take their numerators
-from hermite._hermite_numerators: only tests/test_oracles.py and the
-recurrence test of tests/test_hermite.py check that helper from outside.
+The two sides of a check share only series arithmetic, hermite.fact and, on
+the dense table, the table's own generator: tests/test_independence.py runs
+both sides of one case of each check kind under a profile hook to enforce it.
 """
 
 from __future__ import annotations

@@ -202,11 +202,13 @@ class TestClosedFormHKL:
             assert s.coeffs[n] * fact(n) == hermite_poly(n + 2)
 
     def test_oracle_sweep(self):
-        for K in range(2, 7):
-            for L in range(4):
-                s = closed_form_HKL(K, L, 3)
-                for n in range(4):
-                    assert s.coeffs[n] * fact(n) == hermite_poly(n * K + L)
+        # the grid, then wide-L points whose Leibniz parts stop at K*order - 2b < L
+        points = [(K, L, 3) for K in range(2, 7) for L in range(4)]
+        points += [(1, 40, 2), (2, 25, 3), (5, 30, 1), (12, 100, 1), (3, 7, 0)]
+        for K, L, order in points:
+            s = closed_form_HKL(K, L, order)
+            for n in range(order + 1):
+                assert s.coeffs[n] * fact(n) == hermite_poly(n * K + L), (K, L, n)
 
 
 @given(st.integers(1, 5), st.integers(0, 3), st.integers(0, 4))
