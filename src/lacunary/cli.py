@@ -132,12 +132,16 @@ def run_closed_form(args) -> str:
         return _render(closed_form_plan(args.K))
     L = args.L or 0
     order = 4 if args.order is None else args.order
+    if order < 0:
+        raise ValueError(f"--order must be >= 0, got {order}")
     check_cap(max(args.K, args.K * order) + L)
     return _render(closed_form_HKL(args.K, L, order), args.format)
 
 
 def run_emit(args) -> str:
     from .hermite import hermite_egf
+    if args.order < 0:
+        raise ValueError(f"--order must be >= 0, got {args.order}")
     check_cap(args.order)
     return _render(hermite_egf(args.order), args.format)
 

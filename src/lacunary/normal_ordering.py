@@ -66,12 +66,6 @@ class RkSeries:
 
     mu_coeffs: tuple[LambdaSeries, ...]
 
-    def hkl(self, L: int) -> LambdaSeries:
-        """L! * [mu^L], the L-shifted lacunary generating function."""
-        if not 0 <= L < len(self.mu_coeffs):
-            raise ValueError(f"L must lie in 0..{len(self.mu_coeffs) - 1}, got {L}")
-        return self.mu_coeffs[L] * fact(L)
-
 
 def _x_coefficients(p: BivarPoly) -> dict[int, BivarPoly]:
     """{a: p_a(y)}, where p_a(y) multiplies x^a in p; absent for p_a = 0."""

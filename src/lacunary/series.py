@@ -14,8 +14,8 @@ variable (written ``lambda`` in most of the package, ``mu`` in the
 normal-ordering code) truncated at an explicit inclusive order, with
 ``BivarPoly`` coefficients.
 
-Truncation semantics: binary operations on two series combine orders with
-``min`` and silently truncate -- the result is exact for every coefficient
+Truncation semantics: the product of two series takes the lower of their
+orders and silently truncates -- the result is exact for every coefficient
 it retains.  Differentiation in lambda (:func:`lacunary.operators.shift`)
 decreases the order and raises :class:`TruncationUnderflowError` when asked
 to drop below order 0.
@@ -182,9 +182,6 @@ class BivarPoly:
             return NotImplemented
         return self.den == other.den and self.num == other.num
 
-    def __bool__(self):
-        return bool(self.num)
-
     # -- queries --------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -194,16 +191,9 @@ class BivarPoly:
         """Degree in x; -1 for the zero polynomial."""
         return max((xp for xp, _ in self.num), default=-1)
 
-    def diff_x(self, times: int = 1) -> "BivarPoly":
-        num = self.num
-        for _ in range(times):
-            num = {(xp - 1, yp): v * xp for (xp, yp), v in num.items() if xp}
+    def diff_x(self) -> "BivarPoly":
+        num = {(xp - 1, yp): v * xp for (xp, yp), v in self.num.items() if xp}
         return BivarPoly.from_numerators(num, self.den)
-
-    def evaluate(self, xv, yv) -> Fraction:
-        xv, yv = _exact(xv), _exact(yv)
-        total = sum((v * xv**xp * yv**yp for (xp, yp), v in self.num.items()), Fraction(0))
-        return total / self.den
 
     def sorted_terms(self):
         """Canonical ordering: x-power descending, then y-power ascending."""
@@ -267,8 +257,8 @@ class LambdaSeries:
     """Truncated formal power series with BivarPoly coefficients.
 
     ``order`` is the inclusive truncation bound; ``coeffs`` has exactly
-    ``order + 1`` entries.  Binary operations return a series of the
-    minimum of the two orders.
+    ``order + 1`` entries.  The product of two series has the lower of
+    the two orders.
     """
 
     __slots__ = ("order", "coeffs")
@@ -304,14 +294,6 @@ class LambdaSeries:
         return cls(len(sums) - 1, [_merge(by_den) for by_den in sums])
 
     # -- arithmetic -----------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, LambdaSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return LambdaSeries(
-            n, [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)]
-        )
 
     def __mul__(self, other):
         if isinstance(other, (Fraction, int, BivarPoly)):

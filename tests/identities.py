@@ -3,7 +3,9 @@
 None of them is a construction of the lacunary generating functions: the
 Pochhammer symbol, the Gauss multiplication formula in rational form, the
 Crofton operator identity, and the normal-ordering IVP solved by its
-definition.
+definition.  With them are the few series operations that only the tests
+use: the sum of two series, a polynomial's value at a point, and repeated
+x-derivatives.
 """
 
 from fractions import Fraction
@@ -11,6 +13,24 @@ from math import factorial
 
 from lacunary import BivarPoly, LambdaSeries, SemiLinearOp, compose
 from lacunary.normal_ordering import exp_action
+
+
+def series_sum(a: LambdaSeries, b: LambdaSeries) -> LambdaSeries:
+    """a + b, truncated at the lower of the two orders."""
+    n = min(a.order, b.order)
+    return LambdaSeries(n, [a.coeffs[i] + b.coeffs[i] for i in range(n + 1)])
+
+
+def evaluate(p: BivarPoly, x, y) -> Fraction:
+    """p at the rational point (x, y), exactly."""
+    return sum((c * x**xp * y**yp for (xp, yp), c in p.terms.items()), Fraction(0))
+
+
+def diff_x(p: BivarPoly, times: int) -> BivarPoly:
+    """The times-th x-derivative of p."""
+    for _ in range(times):
+        p = p.diff_x()
+    return p
 
 
 def pochhammer(a, b: int) -> Fraction:
@@ -57,12 +77,13 @@ def crofton_check(m: int, y_coef, f: BivarPoly, g: BivarPoly, order: int) -> boo
     c = Fraction(y_coef)
 
     def exp_deriv(h: BivarPoly) -> LambdaSeries:  # exp(c mu d^m) h
-        return LambdaSeries(order, exp_action(lambda u: u.diff_x(m) * c, h, order))
+        return LambdaSeries(order, exp_action(lambda u: diff_x(u, m) * c, h, order))
 
     def x_op(series: LambdaSeries) -> LambdaSeries:
         # (x + m*c*mu*d^(m-1)) acting on a mu-series of polynomials
-        mu_deriv = [BivarPoly()] + [p.diff_x(m - 1) * (m * c) for p in series.coeffs[:-1]]
-        return series * BivarPoly.monomial(1, 1, 0) + LambdaSeries(series.order, mu_deriv)
+        mu_deriv = [BivarPoly()] + [diff_x(p, m - 1) * (m * c) for p in series.coeffs[:-1]]
+        x_times = series * BivarPoly.monomial(1, 1, 0)
+        return series_sum(x_times, LambdaSeries(series.order, mu_deriv))
 
     # right: sum_a x_op^a (exp(c mu d^m) g) * f_a(y), where f_a(y) multiplies x^a in f
     right, power = LambdaSeries(order), exp_deriv(g)
@@ -70,7 +91,7 @@ def crofton_check(m: int, y_coef, f: BivarPoly, g: BivarPoly, order: int) -> boo
         if a:
             power = x_op(power)
         f_a = BivarPoly({(0, yp): v for (xp, yp), v in f.terms.items() if xp == a})
-        right = right + power * f_a
+        right = series_sum(right, power * f_a)
     return exp_deriv(f * g) == right
 
 
@@ -93,5 +114,5 @@ def power_sum_exp(a: LambdaSeries) -> LambdaSeries:
     total = power = LambdaSeries(a.order, [1] + [0] * a.order)
     for j in range(1, a.order + 1):
         power = power * a
-        total = total + power * Fraction(1, factorial(j))
+        total = series_sum(total, power * Fraction(1, factorial(j)))
     return total

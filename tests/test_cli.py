@@ -464,6 +464,8 @@ class TestSubcommands:
         term = '{"order":%s,"coeffs":[[{"xp":0,"yp":0,"num":%s,"den":1}]]}'
         for text in ('{"order":1}', '[1, 2]', '{"order":0,"coeffs":[[{"xp":0}]]}',
                      term % (0, 1.5), term % (0, "true"), term % ("true", 1),
+                     term % (-1, 1), term % (1, 1),
+                     '{"order":0,"coeffs":[[{"xp":-1,"yp":0,"num":1,"den":1}]]}',
                      "[" * 100000):
             monkeypatch.setattr("sys.stdin", io.StringIO(text))
             assert main(["dilate", "2"]) == 2, text[:40]
@@ -540,11 +542,23 @@ class TestSubcommands:
         ["normal-order", "--q", '[{"xp":1.5,"yp":0,"num":"1","den":"1"}]', "--v", "[]"],
         ["normal-order", "--q", "[]", "--v", '[{"xp":1,"yp":0,"num":"1","den":"1"},'
                                              '{"xp":1,"yp":0,"num":"2","den":"1"}]'],
+        ["normal-order", "--q", "[]", "--v", "[]", "--order", "-1"],
         ["verify", "--kmin", "2", "--nmax", "-1"],
+        ["hermite", "-1"],
+        ["closed-form", "3", "-1"],
+        ["shift", "-1"],
     ], ids=" ".join)
-    def test_malformed_input(self, argv, capsys):
+    def test_malformed_input(self, argv, capsys, monkeypatch):
+        # a valid series on stdin, so that shift fails on its L, not on its input
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"order":1,"coeffs":[[],[]]}'))
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [["closed-form", "3", "--order", "-1"],
+                                      ["emit", "egf", "--order", "-1"]], ids=" ".join)
+    def test_negative_order_names_the_flag(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --order must be >= 0, got -1\n"
 
     def test_unopenable_paths(self, capsys, tmp_path):
         missing = tmp_path / "missing"
