@@ -40,6 +40,13 @@ def _parse(what: str, parse, text: str):
         raise ValueError(f"malformed {what}: {exc!r}") from None
 
 
+def _at_least_0(flag: str, value: int) -> int:
+    """value, or a usage error that names flag if value is negative."""
+    if value < 0:
+        raise ValueError(f"{flag} must be >= 0, got {value}")
+    return value
+
+
 def _render(obj, fmt: str = "json") -> str:
     """obj's text form for --format text, else its JSON, indented."""
     if fmt == "text":
@@ -95,15 +102,11 @@ def run_verify(args) -> int:
         for flag, K in (("--kmin", k_min), ("--kmax", k_max)):
             if not 1 <= K <= 12:
                 raise ValueError(f"{flag} must lie within 1..12, got {K}")
-        l_min = 0 if args.lmin is None else args.lmin
-        if l_min < 0:
-            raise ValueError(f"--lmin must be >= 0, got {l_min}")
+        l_min = _at_least_0("--lmin", 0 if args.lmin is None else args.lmin)
         l_max = l_min if args.lmax is None else args.lmax
         if l_max < l_min:
             raise ValueError(f"--lmax {l_max} is below --lmin {l_min}: the L range is empty")
-        n_max = 6 if args.nmax is None else args.nmax
-        if n_max < 0:
-            raise ValueError(f"--nmax must be >= 0, got {n_max}")
+        n_max = _at_least_0("--nmax", 6 if args.nmax is None else args.nmax)
         report = run_verification({K: n_max for K in range(k_min, k_max + 1)},
                                   l_min=l_min, l_max=l_max, seed=args.seed or 0)
     if args.out:
@@ -131,18 +134,14 @@ def run_closed_form(args) -> str:
         check_cap(args.K)
         return _render(closed_form_plan(args.K))
     L = args.L or 0
-    order = 4 if args.order is None else args.order
-    if order < 0:
-        raise ValueError(f"--order must be >= 0, got {order}")
+    order = _at_least_0("--order", 4 if args.order is None else args.order)
     check_cap(max(args.K, args.K * order) + L)
     return _render(closed_form_HKL(args.K, L, order), args.format)
 
 
 def run_emit(args) -> str:
     from .hermite import hermite_egf
-    if args.order < 0:
-        raise ValueError(f"--order must be >= 0, got {args.order}")
-    check_cap(args.order)
+    check_cap(_at_least_0("--order", args.order))
     return _render(hermite_egf(args.order), args.format)
 
 
@@ -162,7 +161,7 @@ def run_normal_order(args) -> str:
     from .series import BivarPoly
     q, v = (_parse(f"--{name}", lambda t: BivarPoly.from_json(json.loads(t)), text)
             for name, text in (("q", args.q), ("v", args.v)))
-    check_cap(args.order * max(1, q.degree_x(), v.degree_x()))
+    check_cap(_at_least_0("--order", args.order) * max(1, q.degree_x(), v.degree_x()))
     result = normal_order(SemiLinearOp(q=q, v=v), args.order)
     return json.dumps({"order": result.T_series.order, "T": result.T_series.to_json(),
                        "g": result.g_series.to_json()}, indent=2)

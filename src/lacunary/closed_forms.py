@@ -9,19 +9,19 @@ where the prefactor carries the Hermite expansion-coefficient factorial
 ratio (K(s+d))! / ((K(s+d)-2b)! b!) and a monomial x-power.  Even K uses a
 (K-1)F(T-1) block with argument lambda*(2Ky)^T; odd K uses a (2K-2)F(K-1)
 block with argument lambda^2*(4Ky)^K/4.  The L-shifted variants replace
-each prefactor x-power x^P by the Leibniz sum
+each prefactor x-power x^P by the Leibniz sum D^L x^P, D = x + 2y d/dx,
 
     sum_q q! C(L,q) C(P,q) H_{L-q}(x,y) x^(P-q) (2y)^q.
 
-Everything is materialized only as truncated exact series: each branch's
-minimum lambda-power grows with s, so the s-cut is exact.
+Each lambda^p coefficient is summed as one row of integers over p!, indexed by the
+y-power k of its monomials x^(Kp+L-2k) y^k; the s-cut at the order is exact.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 
 from .hermite import fact
 from .hypergeom import pfq_series
@@ -82,57 +82,61 @@ def closed_form_plan(K: int) -> ClosedFormPlan:
         for b in range(P)))
 
 
-def _leibniz_parts(L: int, y_power: int, top: int) -> list[dict]:
-    """The s-free factors q! C(L,q) 2^q H_(L-q) y^(q+y_power) as numerators from factorials,
-    2^q L! / ((L-q-2k)! k!) at x^(L-q-2k) y^(k+q+y_power), for q <= min(L, top) only:
-    _leibniz_prefactor reads parts[q] up to its x-power, at most top = K*order - 2*y_power."""
+def _leibniz_parts(L: int, top: int) -> list[list]:
+    """The s-free factors q! C(L,q) 2^q H_(L-q) y^q from factorials, for q <= min(L, top):
+    parts[q][k] = 2^q L! / ((L-q-2k)! k!) at x^(L-q-2k) y^(q+k).  _leibniz_prefactor
+    reads parts[q] for q up to its x-power P, and the closed form's P is <= K*order."""
     lf = fact(L)
-    return [{(L - q - 2 * k, k + q + y_power): (lf << q) // (fact(L - q - 2 * k) * fact(k))
-             for k in range((L - q) // 2 + 1)}
+    return [[(lf << q) // (fact(L - q - 2 * k) * fact(k)) for k in range((L - q) // 2 + 1)]
             for q in range(min(L, top) + 1)]
 
 
-def _leibniz_prefactor(P: int, parts: list[dict]) -> dict:
-    """The mu-derivative expansion of x^P: sum_q C(P,q) x^(P-q) parts[q], as numerators.
-
-    Every numerator is positive, so no sum cancels.
-    """
-    out = {}
-    for q, part in enumerate(parts[: P + 1]):
+def _leibniz_prefactor(P: int, parts: list[list]) -> list:
+    """D^L x^P = sum_q C(P,q) x^(P-q) parts[q] as the list c of its integer numerators,
+    c[j] = sum_q C(P,q) parts[q][j-q] at x^(P+L-2j) y^j; all positive, so none cancels."""
+    parts = parts[: P + 1]
+    out = [0] * (len(parts) - 1 + len(parts[-1]))
+    for q, part in enumerate(parts):
         c = comb(P, q)
-        for (xp, yp), v in part.items():
-            k = (xp + P - q, yp)
-            out[k] = out[k] + c * v if k in out else c * v
+        for j, v in enumerate(part, q):
+            out[j] += c * v
     return out
 
 
 def _evaluate_plan(plan: ClosedFormPlan, L: int, order: int) -> LambdaSeries:
     """Sum over branches and lambda-powers p0 of lambda^p0 * prefactor * pFq block.
 
-    At n = K*p0 the prefactor is the integer numerators of the x^(n-2b) Leibniz sum
-    times n! / ((n-2b)! b!) over p0!; block term t is a rational times
-    lambda^(t*lp) y^(t*yp), multiplied straight into the prefactor's numerators.
-    Each block term fetches its bucket of LambdaSeries.collect once; the block is
-    cut so that its last term stays within the order.
+    The lambda^p coefficient is one row of integers over p!, entry k at x^(K*p+L-2k) y^k,
+    as K*lp = 2*yp.  Block term t of (b, p0), bn/bd, adds c[j] * s at p = p0 + t*lp,
+    k = b + t*yp + j, for c the Leibniz list of x^(K*p0-2b), m = (K*p0)! p! /
+    ((K*p0-2b)! b! p0!) and s = bn * m / bd.  For a correct plan s is an integer,
+    (K*p)! / ((K*p-2k)! k!) at L = 0; a remainder r is not rounded: c[j] * r goes to a
+    row over p! * bd.  The block is cut so that its last term stays within the order.
     """
-    K, den, (coef, lp, yp_step) = plan.K, plan.den, plan.arg
-    sums = [{} for _ in range(order + 1)]
+    K, den, (coef, lp, yp) = plan.K, plan.den, plan.arg
+    rows = [{1: [0] * ((K * p + L) // 2 + 1)} for p in range(order + 1)]
+    parts = _leibniz_parts(L, K * order)
     for d, b, lower in plan.branches:
-        parts = _leibniz_parts(L, b, K * order - 2 * b)
         for p0 in range(d, order + 1):
             n = K * p0
-            pref = _leibniz_prefactor(n - 2 * b, parts).items()
-            ratio, p0_fact = fact(n) // (fact(n - 2 * b) * fact(b)), fact(p0)
+            pref = _leibniz_prefactor(n - 2 * b, parts)
+            m = fact(n) // (fact(n - 2 * b) * fact(b))
             block = pfq_series([n + j for j in plan.upper], lower, den, coef,
                                (order - p0) // lp + 1)
             for t, (bn, bd) in enumerate(block):
-                bn *= ratio
-                acc = sums[p0 + t * lp].setdefault(bd * p0_fact, {})
-                ty = t * yp_step
-                for (xp, yp), v in pref:
-                    key = (xp, yp + ty)
-                    acc[key] = acc[key] + v * bn if key in acc else v * bn
-    return LambdaSeries.collect(sums)
+                p, k = p0 + t * lp, b + t * yp
+                s, r = divmod(bn * m, bd)
+                m *= perm(p + lp, lp)
+                row = rows[p][1]
+                for j, c in enumerate(pref, k):
+                    row[j] += c * s
+                if r:  # only a wrong plan leaves a remainder
+                    row = rows[p].setdefault(bd, [0] * len(row))
+                    for j, c in enumerate(pref, k):
+                        row[j] += c * r
+    return LambdaSeries.collect([
+        {fact(p) * f: {(K * p + L - 2 * k, k): v for k, v in enumerate(row) if v}
+         for f, row in by_den.items()} for p, by_den in enumerate(rows)])
 
 
 def closed_form_HKL(K: int, L: int, order: int) -> LambdaSeries:
@@ -151,8 +155,7 @@ def rk_series(K: int, mu_order: int, lambda_order: int):
     if mu_order < 0 or lambda_order < 0:
         raise ValueError("orders must be >= 0")
     raising = SemiLinearOp(q=BivarPoly.monomial(2, 0, 1), v=BivarPoly.monomial(1, 1, 0))
-    mu_coeffs = exp_action(
+    return RkSeries(tuple(exp_action(
         lambda g: LambdaSeries(lambda_order, [raising.apply(c) for c in g.coeffs]),
-        closed_form_HKL(K, 0, lambda_order), mu_order)
-    return RkSeries(tuple(mu_coeffs))
+        closed_form_HKL(K, 0, lambda_order), mu_order)))
 

@@ -12,13 +12,11 @@ always have a unique formal solution.  `normal_order` solves both in one
 loop: each step grows T, its powers T^a and g by one mu-order, with v(T)
 read off the same powers, so it costs O(deg * order^2) polynomial products
 for deg the larger x-degree of q and v.  Every sum of products goes through
-:meth:`BivarPoly.dot`.  `exp_action` is the one loop that
-expands exp(mu*A) f = sum_k mu^k A^k f / k! directly; `apply_exp_op` and
-:func:`lacunary.closed_forms.rk_series` use it; `RkSeries`, the value that
-`rk_series` returns, is defined here.  `apply_exp_op` computes
-both that direct operator exponential and the (g, T) route and insists
-they agree, making the module a self-testing witness for the
-normal-ordering theorem.
+:meth:`BivarPoly.dot`, `SemiLinearOp.apply` too.  `exp_action` expands
+exp(mu*A) f = sum_k mu^k A^k f / k! directly, for `apply_exp_op` and
+:func:`lacunary.closed_forms.rk_series`, whose `RkSeries` is defined here.
+`apply_exp_op` also takes the (g, T) route and insists that the two agree,
+making the module a self-testing witness for the normal-ordering theorem.
 """
 
 from __future__ import annotations
@@ -41,7 +39,11 @@ class SemiLinearOp(namedtuple("SemiLinearOp", "q v")):
     __slots__ = ()
 
     def apply(self, f: BivarPoly) -> BivarPoly:
-        return BivarPoly.dot(((self.q, f.diff_x()), (self.v, f)))
+        """q * df/dx + v * f in one dot: df/dx stays over f.den, with no gcd of its own."""
+        df = BivarPoly.__new__(BivarPoly)
+        df.num = {(xp - 1, yp): v * xp for (xp, yp), v in f.num.items() if xp}
+        df.den = f.den
+        return BivarPoly.dot(((self.q, df), (self.v, f)))
 
 
 # a dataclass, not a named tuple: bench/selftest.py rebuilds it with dataclasses.replace

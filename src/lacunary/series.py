@@ -191,10 +191,6 @@ class BivarPoly:
         """Degree in x; -1 for the zero polynomial."""
         return max((xp for xp, _ in self.num), default=-1)
 
-    def diff_x(self) -> "BivarPoly":
-        num = {(xp - 1, yp): v * xp for (xp, yp), v in self.num.items() if xp}
-        return BivarPoly.from_numerators(num, self.den)
-
     def sorted_terms(self):
         """Canonical ordering: x-power descending, then y-power ascending."""
         return sorted(self.terms.items(), key=lambda kv: (-kv[0][0], kv[0][1]))

@@ -28,9 +28,10 @@ def evaluate(p: BivarPoly, x, y) -> Fraction:
 
 def diff_x(p: BivarPoly, times: int) -> BivarPoly:
     """The times-th x-derivative of p."""
+    num, den = p.num, p.den
     for _ in range(times):
-        p = p.diff_x()
-    return p
+        num = {(xp - 1, yp): v * xp for (xp, yp), v in num.items() if xp}
+    return BivarPoly.from_numerators(num, den)
 
 
 def pochhammer(a, b: int) -> Fraction:

@@ -98,6 +98,12 @@ PINNED = {
         "a6e68be83d7bb73ddbbaba27cefac859a19732679734666a4848d5c52495f947",
     ("closed-form", "3", "1", "--order", "5"):
         "f2e5c9d0acc1d660c19a2cbece5d58ba349dc6fc7b961fcc2069ddcd41899f02",
+    ("closed-form", "7", "7", "--order", "6", "--format", "json"):
+        "0b23119c9e948cf5b82310b37c5e3d18628399dedb220d11bd88a2faa4127de5",
+    ("closed-form", "12", "100", "--order", "1", "--format", "json"):
+        "59eaf9632b9f4b7c0e01d621bb4e8ddb9aafee80ef29ebeafdb74ffea68dfb3e",
+    ("closed-form", "2", "2", "--order", "21", "--format", "json"):
+        "fb33895b1f7f1a6b259c39823b573ecc328ec2876d733fb8e4b1539afbdd1725",
     ("hermite", "30", "--format", "json"):
         "5c73d66663b4b85a8076498f3bd0c579df68ed31b06fc58bc23b832423efed96",
     ("normal-order", "--q", Q1, "--v", V1, "--order", "12"):
@@ -554,8 +560,11 @@ class TestSubcommands:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("argv", [["closed-form", "3", "--order", "-1"],
-                                      ["emit", "egf", "--order", "-1"]], ids=" ".join)
+    @pytest.mark.parametrize("argv", [
+        ["closed-form", "3", "--order", "-1"],
+        ["emit", "egf", "--order", "-1"],
+        ["normal-order", "--q", "[]", "--v", "[]", "--order", "-1"],
+    ], ids=" ".join)
     def test_negative_order_names_the_flag(self, argv, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: --order must be >= 0, got -1\n"

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from identities import evaluate, series_sum
+from identities import diff_x, evaluate, series_sum
 
 from lacunary import (
     BivarPoly,
@@ -29,6 +29,7 @@ from lacunary import (
 )
 from lacunary import closed_forms
 from lacunary.normal_ordering import NormalOrderResult, RkSeries
+from lacunary.verify import run_verification
 
 
 class TestPlanStructure:
@@ -210,6 +211,35 @@ class TestClosedFormHKL:
             s = closed_form_HKL(K, L, order)
             for n in range(order + 1):
                 assert s.coeffs[n] * fact(n) == hermite_poly(n * K + L), (K, L, n)
+
+
+class TestRows:
+    def test_leibniz_prefactor_is_d_to_the_l_of_x_to_the_p(self):
+        # D = x + 2y d/dx applied L times to x^P, for parts cut at every top from P to
+        # P + L, below L where P < L; the list is c[j] at x^(P+L-2j) y^j, none of it 0
+        x, two_y = BivarPoly.monomial(1, 1, 0), BivarPoly.monomial(2, 0, 1)
+        for P in range(13):
+            want = BivarPoly.monomial(1, P, 0)
+            for L in range(9):
+                if L:
+                    want = x * want + two_y * diff_x(want, 1)
+                for top in range(P, P + L + 1):
+                    parts = closed_forms._leibniz_parts(L, top)
+                    c = closed_forms._leibniz_prefactor(P, parts)
+                    assert all(v > 0 for v in c), (P, L, top)
+                    assert BivarPoly({(P + L - 2 * j, j): v for j, v in enumerate(c)}) == want
+
+    def test_block_term_that_does_not_divide_stays_exact(self, monkeypatch):
+        # every block is the one term 8/7: at K = 2, L = 1 the lambda^p coefficient is
+        # 8/7 D x^(2p) / p!, where a floored 8 // 7 would leave D x^(2p) / p!
+        monkeypatch.setattr(closed_forms, "pfq_series", lambda *args: [(8, 7)])
+        assert closed_form_HKL(2, 1, 1).coeffs == [
+            BivarPoly({(1, 0): Fraction(8, 7)}),
+            BivarPoly({(3, 0): Fraction(8, 7), (1, 1): Fraction(32, 7)})]
+        report = run_verification({2: 1}, l_min=1, l_max=1)
+        failed = [c for c in report["cases"] if not c["pass"]]
+        assert report["failed"] == 2 and all(c["check"] == "closed_form" for c in failed)
+        assert failed[0]["diff_term"] == {"lp": 0, "xp": 1, "yp": 0, "num": "1", "den": "7"}
 
 
 @given(st.integers(1, 5), st.integers(0, 3), st.integers(0, 4))

@@ -11,6 +11,7 @@ from identities import diff_x, evaluate, series_sum
 from lacunary import (
     BivarPoly,
     LambdaSeries,
+    SemiLinearOp,
     TruncationUnderflowError,
     shift,
 )
@@ -224,6 +225,9 @@ class TestLayout:
         assert_is(pa * c.numerator, reference({k: v * c.numerator for k, v in ra.items()}))
         assert_is(pa + BivarPoly.monomial(c, 0, 0), ref_add(ra, {(0, 0): c}))
         assert_is(diff_x(pa, times), ref_diff_x(ra, times))
+        # q df/dx + v f, with df/dx summed over f's den in the one dot
+        assert_is(SemiLinearOp(q=pb, v=pa).apply(pa),
+                  ref_add(ref_mul(rb, ref_diff_x(ra, 1)), ref_mul(ra, ra)))
 
     @given(st.lists(st.dictionaries(
         st.sampled_from([1, 2, 3, 4, 6, 9, 12]),
