@@ -25,7 +25,7 @@ from math import comb, perm
 
 from .hermite import fact
 from .hypergeom import pfq_series
-from .series import BivarPoly, LambdaSeries
+from .series import LambdaSeries
 
 
 class ClosedFormBranch(namedtuple("ClosedFormBranch", "lambda_shift y_power lower")):
@@ -103,11 +103,11 @@ def _leibniz_prefactor(P: int, parts: list[list]) -> list:
     return out
 
 
-def _evaluate_plan(plan: ClosedFormPlan, L: int, order: int) -> LambdaSeries:
+def _evaluate_plan(plan: ClosedFormPlan, L: int, order: int) -> list[dict]:
     """Sum over branches and lambda-powers p0 of lambda^p0 * prefactor * pFq block.
 
-    The lambda^p coefficient is one row of integers over p!, entry k at x^(K*p+L-2k) y^k,
-    as K*lp = 2*yp.  Block term t of (b, p0), bn/bd, adds c[j] * s at p = p0 + t*lp,
+    rows[p] is {f: row}: row[k] is an integer over p! * f at x^(K*p+L-2k) y^k, as
+    K*lp = 2*yp.  Block term t of (b, p0), bn/bd, adds c[j] * s at p = p0 + t*lp,
     k = b + t*yp + j, for c the Leibniz list of x^(K*p0-2b), m = (K*p0)! p! /
     ((K*p0-2b)! b! p0!) and s = bn * m / bd.  For a correct plan s is an integer,
     (K*p)! / ((K*p-2k)! k!) at L = 0; a remainder r is not rounded: c[j] * r goes to a
@@ -134,8 +134,13 @@ def _evaluate_plan(plan: ClosedFormPlan, L: int, order: int) -> LambdaSeries:
                     row = rows[p].setdefault(bd, [0] * len(row))
                     for j, c in enumerate(pref, k):
                         row[j] += c * r
+    return rows
+
+
+def _collect(rows: list[dict], K: int, L: int, scale: int = 1) -> LambdaSeries:
+    """The series whose lambda^p coefficient is rows[p], each row over p! * f * scale."""
     return LambdaSeries.collect([
-        {fact(p) * f: {(K * p + L - 2 * k, k): v for k, v in enumerate(row) if v}
+        {fact(p) * f * scale: {(K * p + L - 2 * k, k): v for k, v in enumerate(row) if v}
          for f, row in by_den.items()} for p, by_den in enumerate(rows)])
 
 
@@ -143,19 +148,24 @@ def closed_form_HKL(K: int, L: int, order: int) -> LambdaSeries:
     """K-tuple L-shifted closed form: n! [lambda^n] = H_(nK+L)(x, y)."""
     if L < 0:
         raise ValueError("L must be >= 0")
-    return _evaluate_plan(closed_form_plan(K), L, order)
+    return _collect(_evaluate_plan(closed_form_plan(K), L, order), K, L)
 
 
 def rk_series(K: int, mu_order: int, lambda_order: int):
-    """exp(mu*D) G_K(lambda; x, y) as an RkSeries: D^L / L! on every lambda-coefficient
-    of the K-tuple closed form, D = x + 2y d/dx applied once per mu-power."""
-    # imported here: a process that only evaluates closed forms loads neither
-    # normal_ordering nor the dataclasses module behind RkSeries
-    from .normal_ordering import RkSeries, SemiLinearOp, exp_action
+    """exp(mu*D) G_K(lambda; x, y) as an RkSeries, D = x + 2y d/dx.  Each mu-power applies D
+    in place to the rows of the closed form at L = 0 (never the Leibniz route at L > 0):
+    row[k] at x^(a-2k) y^k moves to x^(a+1-2k) y^k and adds 2 (a-2k) row[k] into row[k+1]."""
+    from .normal_ordering import RkSeries  # here: closed forms alone load no dataclasses
     if mu_order < 0 or lambda_order < 0:
         raise ValueError("orders must be >= 0")
-    raising = SemiLinearOp(q=BivarPoly.monomial(2, 0, 1), v=BivarPoly.monomial(1, 1, 0))
-    return RkSeries(tuple(exp_action(
-        lambda g: LambdaSeries(lambda_order, [raising.apply(c) for c in g.coeffs]),
-        closed_form_HKL(K, 0, lambda_order), mu_order)))
-
+    rows = _evaluate_plan(closed_form_plan(K), 0, lambda_order)
+    out = [_collect(rows, K, 0)]
+    for L in range(1, mu_order + 1):
+        for p, by_den in enumerate(rows):
+            a = K * p + L - 1  # the x-power of row[0] before this step
+            for row in by_den.values():
+                row += [0] * (a % 2)  # a last x^1 y^k makes a y^(k+1)
+                for k in range(len(row) - 2, -1, -1):  # downwards: row[k] is still old
+                    row[k + 1] += 2 * (a - 2 * k) * row[k]
+        out.append(_collect(rows, K, L, fact(L)))
+    return RkSeries(tuple(out))

@@ -12,11 +12,10 @@ always have a unique formal solution.  `normal_order` solves both in one
 loop: each step grows T, its powers T^a and g by one mu-order, with v(T)
 read off the same powers, so it costs O(deg * order^2) polynomial products
 for deg the larger x-degree of q and v.  Every sum of products goes through
-:meth:`BivarPoly.dot`, `SemiLinearOp.apply` too.  `exp_action` expands
-exp(mu*A) f = sum_k mu^k A^k f / k! directly, for `apply_exp_op` and
-:func:`lacunary.closed_forms.rk_series`, whose `RkSeries` is defined here.
-`apply_exp_op` also takes the (g, T) route and insists that the two agree,
-making the module a self-testing witness for the normal-ordering theorem.
+:meth:`BivarPoly.dot`, `SemiLinearOp.apply` too.  `apply_exp_op` expands
+exp(mu*D) f = sum_k mu^k D^k f / k! directly (`exp_action`), takes the (g, T)
+route too and insists that the two agree: a self-testing witness for the
+normal-ordering theorem.  `RkSeries`, built by `rk_series`, is defined here.
 """
 
 from __future__ import annotations

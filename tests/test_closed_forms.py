@@ -1,7 +1,9 @@
 """Closed-form generating functions vs the brute-force Hermite oracle."""
 
 import ast
+import hashlib
 import itertools
+import json
 from dataclasses import is_dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -27,7 +29,7 @@ from lacunary import (
     rk_series,
     shift,
 )
-from lacunary import closed_forms
+from lacunary import closed_forms, normal_ordering
 from lacunary.normal_ordering import NormalOrderResult, RkSeries
 from lacunary.verify import run_verification
 
@@ -213,16 +215,20 @@ class TestClosedFormHKL:
                 assert s.coeffs[n] * fact(n) == hermite_poly(n * K + L), (K, L, n)
 
 
+def raise_d(p: BivarPoly) -> BivarPoly:
+    """D p for the Hermite raising operator D = x + 2y d/dx."""
+    return BivarPoly.monomial(1, 1, 0) * p + BivarPoly.monomial(2, 0, 1) * diff_x(p, 1)
+
+
 class TestRows:
     def test_leibniz_prefactor_is_d_to_the_l_of_x_to_the_p(self):
         # D = x + 2y d/dx applied L times to x^P, for parts cut at every top from P to
         # P + L, below L where P < L; the list is c[j] at x^(P+L-2j) y^j, none of it 0
-        x, two_y = BivarPoly.monomial(1, 1, 0), BivarPoly.monomial(2, 0, 1)
         for P in range(13):
             want = BivarPoly.monomial(1, P, 0)
             for L in range(9):
                 if L:
-                    want = x * want + two_y * diff_x(want, 1)
+                    want = raise_d(want)
                 for top in range(P, P + L + 1):
                     parts = closed_forms._leibniz_parts(L, top)
                     c = closed_forms._leibniz_prefactor(P, parts)
@@ -263,11 +269,63 @@ def test_constructions_agree_with_oracle(K, L, n):
         assert series.coeffs == want(j)
 
 
+# rk_series(K, mu_order, n): (K, mu_order) -> n, the benchmark's grid
+RK_ORDER = {
+    (2, 1): 20, (2, 2): 16, (2, 3): 14, (3, 1): 13, (3, 2): 11, (3, 3): 10,
+    (4, 1): 11, (4, 2): 9, (4, 3): 8, (5, 1): 6, (5, 2): 6, (5, 3): 5,
+    (6, 1): 6, (6, 2): 6, (6, 3): 5, (7, 1): 7, (7, 2): 6, (7, 3): 4,
+    (8, 1): 5, (8, 2): 6, (8, 3): 5,
+}
+RK_DIGEST = "6ee230dcc2f9cd0ed0fa443e61442c1472a49339bfe61bc94654d595aff5b9e5"
+
+
 class TestRkSeries:
     def test_mu0_is_hk0(self):
         rk = rk_series(3, 2, 4)
         assert rk.mu_coeffs[0] == closed_form_HKL(3, 0, 4)
 
+    def test_mu_coefficients_are_the_shifted_closed_forms(self):
+        # L! [mu^L] = G_(K,L); mu_coeffs[0] is read last, after D has run in place on
+        # the rows it was collected from
+        for K, mu, n in itertools.product(range(1, 13), range(6), range(4)):
+            rk = rk_series(K, mu, n)
+            assert len(rk.mu_coeffs) == mu + 1
+            for L in range(mu, -1, -1):
+                assert fact(L) * rk.mu_coeffs[L] == closed_form_HKL(K, L, n), (K, mu, n, L)
+
+    def test_remainder_row_stays_exact_through_d(self, monkeypatch):
+        # every block is the one term 8/7, so each row has a remainder row over p! * 7;
+        # a floored 8 // 7 anywhere would lose the 1/7
+        monkeypatch.setattr(closed_forms, "pfq_series", lambda *args: [(8, 7)])
+        want = [closed_form_HKL(2, 0, 1).coeffs]
+        for L in (1, 2):
+            want.append([raise_d(c) for c in want[-1]])
+        assert Fraction(8, 7) in want[0][1].terms.values()
+        assert [rk.coeffs for rk in rk_series(2, 2, 1).mu_coeffs] == [
+            [c * Fraction(1, fact(L)) for c in coeffs] for L, coeffs in enumerate(want)]
+
+    def test_mu_route_stays_off_the_leibniz_route(self, monkeypatch):
+        # the mu-series checks the Leibniz sums at L > 0, so it must not run them; nor
+        # does it run the operator code of normal_ordering
+        seen = []
+        parts = closed_forms._leibniz_parts
+        monkeypatch.setattr(closed_forms, "_leibniz_parts",
+                            lambda L, top: seen.append(L) or parts(L, top))
+
+        def unused(*args):
+            raise AssertionError("rk_series runs the operator route of normal_ordering")
+
+        monkeypatch.setattr(normal_ordering.SemiLinearOp, "apply", unused)
+        monkeypatch.setattr(normal_ordering, "exp_action", unused)
+        for K in (1, 2, 5):
+            rk_series(K, 4, 3)
+        assert seen == [0, 0, 0]
+
+    def test_grid_digest(self):
+        # the JSON of rk_series over the benchmark grid, pinned bit for bit
+        text = json.dumps([[K, mu, n, [s.to_json() for s in rk_series(K, mu, n).mu_coeffs]]
+                           for (K, mu), n in sorted(RK_ORDER.items())])
+        assert hashlib.sha256(text.encode()).hexdigest() == RK_DIGEST
 
 
 def section_partial_sum(K, L, lam, x, y, n_terms):
