@@ -14,17 +14,19 @@ each prefactor x-power x^P by the Leibniz sum D^L x^P, D = x + 2y d/dx,
     sum_q q! C(L,q) C(P,q) H_{L-q}(x,y) x^(P-q) (2y)^q.
 
 Each lambda^p coefficient is summed as one row of integers over p!, indexed by the
-y-power k of its monomials x^(Kp+L-2k) y^k; the s-cut at the order is exact.
+y-power k of its monomials x^(Kp+L-2k) y^k; the s-cut at the order is exact.  The
+term ratios of all the blocks come from two tables built once per call: the upper
+products per lambda-power and the lower ones per branch.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, perm
+from math import comb, gcd, perm
 
 from .hermite import fact
-from .hypergeom import pfq_series
+from .hypergeom import ratio_products
 from .series import LambdaSeries
 
 
@@ -107,33 +109,47 @@ def _evaluate_plan(plan: ClosedFormPlan, L: int, order: int) -> list[dict]:
     """Sum over branches and lambda-powers p0 of lambda^p0 * prefactor * pFq block.
 
     rows[p] is {f: row}: row[k] is an integer over p! * f at x^(K*p+L-2k) y^k, as
-    K*lp = 2*yp.  Block term t of (b, p0), bn/bd, adds c[j] * s at p = p0 + t*lp,
-    k = b + t*yp + j, for c the Leibniz list of x^(K*p0-2b), m = (K*p0)! p! /
-    ((K*p0-2b)! b! p0!) and s = bn * m / bd.  For a correct plan s is an integer,
-    (K*p)! / ((K*p-2k)! k!) at L = 0; a remainder r is not rounded: c[j] * r goes to a
-    row over p! * bd.  The block is cut so that its last term stays within the order.
+    K*lp = 2*yp.  Block term t of (b, p0) adds c[j] * v at p = p0 + t*lp,
+    k = b + t*yp + j, for c the Leibniz list of x^(K*p0-2b) ([1] at L = 0) and v the
+    term times (K*p0)! p! / ((K*p0-2b)! b! p0!): (K*p)! / ((K*p-2k)! k!) at L = 0 for
+    a correct plan.  As den = K*lp, the upper numerators K*p0 + j + (t-1)*den of the
+    ratio into term t are K*(p-lp) + j, so the ratio times p!/(p-lp)! is up[p] /
+    down_b[t-1], with up built once per lambda-power and down_b once per branch, both
+    from ``ratio_products``.  v starts at (K*p0)! / ((K*p0-2b)! b!) and takes one
+    multiply and one divmod per term; a remainder is not rounded: from there on v
+    carries its gcd-reduced denominator vd and goes to a row over p! * vd.  The block
+    is cut so that its last term stays within the order.
     """
     K, den, (coef, lp, yp) = plan.K, plan.den, plan.arg
     rows = [{1: [0] * ((K * p + L) // 2 + 1)} for p in range(order + 1)]
     parts = _leibniz_parts(L, K * order)
+    up = [0] * (order + 1)
+    for r in range(lp):  # one class of p - lp mod lp per call: K*(p-lp) steps by den
+        ups, _ = ratio_products([K * r + j for j in plan.upper], (), den, (order - r) // lp + 1)
+        for p, u in zip(range(lp + r, order + 1, lp), ups):
+            up[p] = coef * u * perm(p, lp)
     for d, b, lower in plan.branches:
+        e = len(plan.upper) - len(lower)  # the ratio's den^len(lower) / den^len(upper)
+        _, downs = ratio_products((), lower, den, (order - d) // lp + 1)
+        down = [t * den ** max(e, 0) * v for t, v in enumerate(downs, 1)]
+        ub = up if e >= 0 else [u * den ** -e for u in up]
         for p0 in range(d, order + 1):
             n = K * p0
-            pref = _leibniz_prefactor(n - 2 * b, parts)
-            m = fact(n) // (fact(n - 2 * b) * fact(b))
-            block = pfq_series([n + j for j in plan.upper], lower, den, coef,
-                               (order - p0) // lp + 1)
-            for t, (bn, bd) in enumerate(block):
+            pref = _leibniz_prefactor(n - 2 * b, parts) if L else [1]
+            v, vd = fact(n) // (fact(n - 2 * b) * fact(b)), 1
+            for t in range((order - p0) // lp + 1):
                 p, k = p0 + t * lp, b + t * yp
-                s, r = divmod(bn * m, bd)
-                m *= perm(p + lp, lp)
-                row = rows[p][1]
+                if t:
+                    v, vd = v * ub[p], vd * down[t - 1]
+                    s, r = divmod(v, vd)
+                    if r:  # only a wrong plan leaves a remainder
+                        g = gcd(v, vd) if vd > 0 else -gcd(v, vd)
+                        v, vd = v // g, vd // g
+                    else:
+                        v, vd = s, 1
+                row = rows[p][1] if vd == 1 else rows[p].setdefault(vd, [0] * len(rows[p][1]))
                 for j, c in enumerate(pref, k):
-                    row[j] += c * s
-                if r:  # only a wrong plan leaves a remainder
-                    row = rows[p].setdefault(bd, [0] * len(row))
-                    for j, c in enumerate(pref, k):
-                        row[j] += c * r
+                    row[j] += c * v
     return rows
 
 

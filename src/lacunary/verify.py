@@ -87,13 +87,14 @@ def coefficient_cases(K: int, L: int, n_max: int) -> list[dict]:
     return cases
 
 
-def table_egf(table: CoeffTable, order: int) -> LambdaSeries:
-    """The table's EGF by its definition, sum x^r lambda^(r+m) g_(r,m)(y) / (r+m)!:
-    coefficient n is sum_r x^r g_(r,n-r)(y) / n!, read entry by entry, so that it
-    shares no loop with the resummation it checks."""
+def table_egf(table: CoeffTable, order: int, step: int) -> LambdaSeries:
+    """The table's EGF by its definition, sum x^r lambda^(r+m) g_(r,m)(y) / (r+m)!, at the
+    lambda-powers n that are multiples of step (0 elsewhere): coefficient n is
+    sum_r x^r g_(r,n-r)(y) / n!, read entry by entry, so that it shares no loop with
+    the resummation it checks."""
     return LambdaSeries(order, [
         BivarPoly.dot((BivarPoly.monomial(1, r, 0), table(r, n - r)) for r in range(n + 1))
-        * Fraction(1, fact(n)) for n in range(order + 1)])
+        * Fraction(1, fact(n)) if n % step == 0 else BivarPoly() for n in range(order + 1)])
 
 
 def resummation_cases(K: int, seed: int) -> list[dict]:
@@ -104,7 +105,7 @@ def resummation_cases(K: int, seed: int) -> list[dict]:
     oracle = dilate_bruteforce(hermite_egf(K * RESUM_ORDER), K)
     even, odd = resum_corollary1(table, K, RESUM_ORDER)
     dense = random_dense_table(seed)
-    dense_oracle = dilate_bruteforce(table_egf(dense, K * RESUM_ORDER), K)
+    dense_oracle = dilate_bruteforce(table_egf(dense, K * RESUM_ORDER, K), K)
     return [
         _case(K, None, RESUM_ORDER,
               first_diff_series(resum_lemma1(table, K, RESUM_ORDER), oracle), "lemma1_oracle"),

@@ -2,16 +2,16 @@
 
 None of them is a construction of the lacunary generating functions: the
 Pochhammer symbol, the Gauss multiplication formula in rational form, the
-Crofton operator identity, and the normal-ordering IVP solved by its
-definition.  With them are the few series operations that only the tests
-use: the sum of two series, a polynomial's value at a point, and repeated
-x-derivatives.
+Crofton operator identity, the normal-ordering IVP solved by its
+definition, and the closed form summed block by block as the paper writes it.
+With them are the few series operations that only the tests use: the sum of
+two series, a polynomial's value at a point, and repeated x-derivatives.
 """
 
 from fractions import Fraction
 from math import factorial
 
-from lacunary import BivarPoly, LambdaSeries, SemiLinearOp, compose
+from lacunary import BivarPoly, LambdaSeries, SemiLinearOp, compose, pfq_series
 from lacunary.normal_ordering import exp_action
 
 
@@ -117,3 +117,21 @@ def power_sum_exp(a: LambdaSeries) -> LambdaSeries:
         power = power * a
         total = series_sum(total, power * Fraction(1, factorial(j)))
     return total
+
+
+def closed_form_from_blocks(plan, order: int) -> LambdaSeries:
+    """G_K (L = 0) of a ClosedFormPlan, one pfq_series block per branch b and lambda-power
+    p0: lambda^p0 (K p0)! / ((K p0 - 2b)! b! p0!) x^(K p0 - 2b) y^b times the block,
+    whose term t multiplies lambda^(t lp) y^(t yp), each coefficient a Fraction."""
+    K, den, (coef, lp, yp) = plan.K, plan.den, plan.arg
+    coeffs = [{} for _ in range(order + 1)]
+    for d, b, lower in plan.branches:
+        for p0 in range(d, order + 1):
+            n = K * p0
+            m = Fraction(factorial(n), factorial(n - 2 * b) * factorial(b) * factorial(p0))
+            block = pfq_series([n + j for j in plan.upper], lower, den, coef,
+                               (order - p0) // lp + 1)
+            for t, (bn, bd) in enumerate(block):
+                c, key = coeffs[p0 + t * lp], (n - 2 * b, b + t * yp)
+                c[key] = c.get(key, 0) + m * Fraction(bn, bd)
+    return LambdaSeries(order, [BivarPoly(c) for c in coeffs])

@@ -11,11 +11,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from identities import diff_x, evaluate, series_sum
+from identities import closed_form_from_blocks, diff_x, evaluate, series_sum
 
 from lacunary import (
     BivarPoly,
     LambdaSeries,
+    PoleError,
     closed_form_HKL,
     closed_form_plan,
     dilate_bruteforce,
@@ -236,16 +237,60 @@ class TestRows:
                     assert BivarPoly({(P + L - 2 * j, j): v for j, v in enumerate(c)}) == want
 
     def test_block_term_that_does_not_divide_stays_exact(self, monkeypatch):
-        # every block is the one term 8/7: at K = 2, L = 1 the lambda^p coefficient is
-        # 8/7 D x^(2p) / p!, where a floored 8 // 7 would leave D x^(2p) / p!
-        monkeypatch.setattr(closed_forms, "pfq_series", lambda *args: [(8, 7)])
+        # K = 2 with the lower parameter 7: term t of every block is 6!/(t+6)! of the
+        # true one, so at L = 1 the lambda^1 coefficient is x^3 + (4 + 2/7) x y, where a
+        # floored (2 // 7) would leave x^3 + 4 x y
+        patch_k2_lower(monkeypatch, (14,))
         assert closed_form_HKL(2, 1, 1).coeffs == [
-            BivarPoly({(1, 0): Fraction(8, 7)}),
-            BivarPoly({(3, 0): Fraction(8, 7), (1, 1): Fraction(32, 7)})]
+            BivarPoly({(1, 0): 1}),
+            BivarPoly({(3, 0): 1, (1, 1): Fraction(30, 7)})]
         report = run_verification({2: 1}, l_min=1, l_max=1)
         failed = [c for c in report["cases"] if not c["pass"]]
-        assert report["failed"] == 2 and all(c["check"] == "closed_form" for c in failed)
-        assert failed[0]["diff_term"] == {"lp": 0, "xp": 1, "yp": 0, "num": "1", "den": "7"}
+        assert report["failed"] == 1 and all(c["check"] == "closed_form" for c in failed)
+        assert failed[0]["diff_term"] == {"lp": 1, "xp": 1, "yp": 1, "num": "-12", "den": "7"}
+
+    def test_plan_is_the_sum_of_its_pfq_blocks(self):
+        # blocks of up to 9 terms, both classes of lambda-power for odd K
+        for K in range(1, 13):
+            n = 8 if K > 6 else 16
+            assert closed_form_HKL(K, 0, n) == closed_form_from_blocks(closed_form_plan(K), n), K
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 5, 6, 9])
+    def test_wrong_plan_is_the_sum_of_its_pfq_blocks(self, K, monkeypatch):
+        # the shared ratio tables add up what the blocks of a wrong plan add up, exactly:
+        # shifted (some below 0), added and dropped parameters and a scaled argument
+        plan = closed_form_plan(K)
+        coef, lp, yp = plan.arg
+        wrong = [plan._replace(upper=plan.upper + (K + 1,)),
+                 plan._replace(upper=plan.upper[1:]),
+                 plan._replace(arg=(3 * coef + 1, lp, yp)),
+                 plan._replace(branches=tuple(br._replace(lower=br.lower + (2 * b + 3,))
+                                              for b, br in enumerate(plan.branches))),
+                 plan._replace(branches=tuple(br._replace(lower=tuple(m + 1 for m in br.lower))
+                                              for br in plan.branches)),
+                 plan._replace(branches=tuple(br._replace(lower=tuple(m - 3 for m in br.lower))
+                                              for br in plan.branches))]
+        for i, bad in enumerate(wrong):
+            monkeypatch.setattr(closed_forms, "closed_form_plan", lambda K: bad)
+            assert closed_form_HKL(K, 0, 7) == closed_form_from_blocks(bad, 7), i
+
+    def test_pole_in_a_lower_parameter_is_raised(self, monkeypatch):
+        # K = 4's branch 0 with the lower parameter -1 (-4 over den 4): term 2 divides
+        # by (-1)_2 = 0, which order 2 reaches and order 1 does not
+        plan = closed_form_plan(4)
+        bad = plan._replace(branches=(plan.branches[0]._replace(lower=(-4,)),)
+                            + plan.branches[1:])
+        monkeypatch.setattr(closed_forms, "closed_form_plan", lambda K: bad)
+        with pytest.raises(PoleError):
+            closed_form_HKL(4, 0, 2)
+        assert closed_form_HKL(4, 0, 1) == closed_form_from_blocks(bad, 1)
+
+
+def patch_k2_lower(monkeypatch, lower):
+    """Give K = 2's one branch the lower parameters ``lower`` (numerators over den 2)."""
+    plan = closed_form_plan(2)
+    bad = plan._replace(branches=(plan.branches[0]._replace(lower=lower),))
+    monkeypatch.setattr(closed_forms, "closed_form_plan", lambda K: bad)
 
 
 @given(st.integers(1, 5), st.integers(0, 3), st.integers(0, 4))
@@ -294,13 +339,13 @@ class TestRkSeries:
                 assert fact(L) * rk.mu_coeffs[L] == closed_form_HKL(K, L, n), (K, mu, n, L)
 
     def test_remainder_row_stays_exact_through_d(self, monkeypatch):
-        # every block is the one term 8/7, so each row has a remainder row over p! * 7;
-        # a floored 8 // 7 anywhere would lose the 1/7
-        monkeypatch.setattr(closed_forms, "pfq_series", lambda *args: [(8, 7)])
+        # with K = 2's lower parameter 7 the lambda^1 row has a remainder row over 1! * 7;
+        # a floored (2 // 7) anywhere would lose the 2/7 y
+        patch_k2_lower(monkeypatch, (14,))
         want = [closed_form_HKL(2, 0, 1).coeffs]
         for L in (1, 2):
             want.append([raise_d(c) for c in want[-1]])
-        assert Fraction(8, 7) in want[0][1].terms.values()
+        assert want[0][1] == BivarPoly({(2, 0): 1, (0, 1): Fraction(2, 7)})
         assert [rk.coeffs for rk in rk_series(2, 2, 1).mu_coeffs] == [
             [c * Fraction(1, fact(L)) for c in coeffs] for L, coeffs in enumerate(want)]
 

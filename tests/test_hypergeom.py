@@ -1,4 +1,4 @@
-"""Pochhammer symbols, truncated pFq blocks, and the multiplication formula."""
+"""Pochhammer symbols, pFq term-ratio products and blocks, and the multiplication formula."""
 
 from fractions import Fraction
 from math import factorial, lcm
@@ -13,6 +13,7 @@ from lacunary import (
     closed_form_plan,
     pfq_series,
 )
+from lacunary.hypergeom import ratio_products
 
 params = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 lower_params = params.filter(lambda b: not (b.denominator == 1 and b <= 0))
@@ -56,6 +57,22 @@ def reference_terms(upper, lower, z, count):
             c /= pochhammer(b, s)
         expected.append((c.numerator, c.denominator))
     return expected
+
+
+class TestRatioProducts:
+    def test_products_step_by_den(self):
+        # (1/4)(3/4) -> (5/4)(7/4) -> (9/4)(11/4) over 4^2, and 2/4 -> 6/4 -> 10/4 over 4
+        assert ratio_products([1, 3], [2], 4, 4) == ([3, 35, 99], [2, 6, 10])
+
+    def test_short_blocks_have_no_ratio(self):
+        assert ratio_products([1], [1], 1, 1) == ([], [])
+        assert ratio_products([1], [1], 1, 0) == ([], [])
+
+    def test_pole_is_raised_without_upper_parameters(self):
+        # -4 over 2 is the pole -2, which a 4-term block reaches at term 3
+        with pytest.raises(PoleError):
+            ratio_products((), [-4], 2, 4)
+        assert ratio_products((), [-4], 2, 3) == ([1, 1], [-4, -2])
 
 
 class TestPfqSeries:

@@ -76,7 +76,7 @@ SIDES = {
         HERMITE_ORACLE),
     "lemma1_oracle:dense-seed0": (
         (resum_lemma1, lambda: resum_lemma1(DENSE, K, RESUM_ORDER)),
-        (table_egf, lambda: dilate_bruteforce(table_egf(DENSE, K * RESUM_ORDER), K))),
+        (table_egf, lambda: dilate_bruteforce(table_egf(DENSE, K * RESUM_ORDER, K), K))),
 }
 
 
