@@ -9,7 +9,8 @@ that EGF first in x and then in lambda yields the double-expansion
 coefficients g_{r,m}(y), which vanish for odd m and equal
 (r+2m)! y^m / (r! m!) at even second index 2m.  These coefficients are the
 sole input of the generic resummation algorithm in :mod:`lacunary.operators`,
-which reads them by rows (``CoeffTable.row``).  The size cap ``check_cap``,
+which has the table add them a row at a time into its accumulators
+(``CoeffTable.add_row``).  The size cap ``check_cap``,
 which every command applies before it builds anything, lives here too: it is
 the lowest module the commands share.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 import os
 from collections import namedtuple
 from functools import lru_cache
-from math import factorial, perm
+from math import factorial, gcd, perm
 
 from .series import BivarPoly, LambdaSeries
 
@@ -50,7 +51,8 @@ class CoeffTable(namedtuple("CoeffTable", "generator name", defaults=("table",))
 
     ``generator(r, m)`` computes entries on demand and returns zero where an
     entry vanishes (odd m for the Hermite table); ``name`` labels the table.
-    ``row(r, ms)`` lists the non-zero entries of one r over a range of m.
+    ``add_row(r, ms, K, nums, dens)`` adds x^r g_{r,m} for one r over a range of m
+    into the resummation's accumulators, one per lambda-power p = (r + m) / K.
     """
 
     __slots__ = ()
@@ -60,17 +62,32 @@ class CoeffTable(namedtuple("CoeffTable", "generator name", defaults=("table",))
             raise ValueError("table indices must be non-negative")
         return self.generator(r, m)
 
-    def row(self, r: int, ms: range) -> list:
-        """The non-zero g_{r,m}, m in the increasing range ms, as (m, numerators,
-        denominator) triples, the layout of BivarPoly; by default entry by entry."""
+    def add_row(self, r: int, ms: range, K: int, nums: list, dens: list) -> None:
+        """Add x^r g_{r,m}, m in the increasing range ms, into nums[(r + m) // K].
+
+        nums[p] maps (xp, yp) to an integer numerator over dens[p] > 0.  An entry
+        whose den does not divide dens[p] first raises dens[p] to their lcm and
+        rescales nums[p] once; a key already present is added to, so entries that
+        share a monomial, or cancel, sum exactly.  By default entry by entry.
+        """
         if r < 0 or ms.start < 0:
             raise ValueError("table indices must be non-negative")
-        gen, out = self.generator, []
-        for m in ms:  # a plain loop: a comprehension costs a call per row
+        gen = self.generator
+        for m in ms:
             g = gen(r, m)
-            if g.num:
-                out.append((m, g.num, g.den))
-        return out
+            if not g.num:
+                continue
+            p, den = (r + m) // K, g.den
+            acc, d = nums[p], dens[p]
+            if d % den:
+                f = den // gcd(d, den)
+                for k in acc:
+                    acc[k] *= f
+                dens[p] = d = d * f
+            f = d // den
+            for (xp, yp), c in g.num.items():
+                key, c = (r + xp, yp), c * f
+                acc[key] = acc[key] + c if key in acc else c
 
 
 def _hermite_numerators(n: int) -> dict:
@@ -110,25 +127,28 @@ def _hermite_entry(r: int, m: int) -> BivarPoly:
 
 
 class _HermiteTable(CoeffTable):
-    """The Hermite table, whose rows skip odd m and build each entry by ratio."""
+    """The Hermite table, whose rows skip odd m, build each entry by ratio and store it
+    as one integer, with no polynomial per entry."""
 
     __slots__ = ()
 
-    def row(self, r: int, ms: range) -> list:
-        """Only the even m of ms: the first entry from factorials, each later one from
-        the one before, times (r+m)!/(r+m-step)! over the half-indices (m-step)/2+1..m/2."""
+    def add_row(self, r: int, ms: range, K: int, nums: list, dens: list) -> None:
+        """Only the even m of ms, each integer entry times dens[p] added at (r, m/2) of
+        nums[p]: the first entry from factorials, each later one from the one before,
+        times (r+m)!/(r+m-step)! over the half-indices (m-step)/2+1..m/2."""
         if r < 0 or ms.start < 0:
             raise ValueError("table indices must be non-negative")
         if ms.step % 2:
             ms = ms[ms.start % 2::2]
         elif ms.start % 2:
-            return []
-        out, c, step = [], None, ms.step
+            return
+        c, step = None, ms.step
         for m in ms:
             c = (fact(r + m) // (fact(r) * fact(m // 2)) if c is None
                  else c * perm(r + m, step) // perm(m // 2, step // 2))
-            out.append((m, {(0, m // 2): c}, 1))
-        return out
+            p, key = (r + m) // K, (r, m // 2)
+            acc, v = nums[p], c * dens[p]
+            acc[key] = acc[key] + v if key in acc else v
 
 
 def hermite_coeff_table() -> CoeffTable:

@@ -13,12 +13,13 @@ with r and m running over fixed residue classes mod K.  Lemma 1 has one
 family per alpha = 0 ... K-1, r = -alpha and m = alpha mod K.  The
 parity-split variant (Corollary 1) splits each family whose m-step is odd
 into its even-t and odd-t halves and groups the families by the parity of m.
-Each family reads the table by rows, which list only non-zero entries.
+Each family hands the table one r at a time, and the table adds that row's
+non-zero entries into one numerator dict per lambda-power.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 
 from .hermite import CoeffTable, fact
 from .series import LambdaSeries, TruncationUnderflowError
@@ -69,24 +70,18 @@ def _resum(table: CoeffTable, K: int, branches: tuple[Branch, ...],
     """Sum x^r lambda^p g_{r,m}(y) / p!, p = (r + m) / K, over the families.
 
     r + m < K * (order + 1) is exactly p <= order, and it bounds both loops.
-    Each family reads table.row(r, ms), the non-zero entries of r over its
-    range ms of m as (m, numerators, denominator), and adds each entry's
-    numerators into the bucket of lambda^p and den; each bucket of
-    LambdaSeries.collect then gets its denominator den * p! once.
+    Each family hands every r and its range ms of m to table.add_row, which adds
+    the non-zero entries into nums[p], integer numerators keyed (xp, yp) over
+    dens[p]; LambdaSeries.collect then gets one bucket per power, over dens[p] * p!.
     """
     end = K * (order + 1)
-    row = table.row
-    sums = [defaultdict(dict) for _ in range(order + 1)]
+    add_row = table.add_row
+    nums, dens = [{} for _ in range(order + 1)], [1] * (order + 1)
     for x_offset, m_step, m_offset in branches:
         for r in range(x_offset, end - m_offset, K):
-            for m, num, den in row(r, range(m_offset, end - r, m_step)):
-                p = (r + m) // K
-                acc = sums[p][den]
-                for (xp, yp), c in num.items():
-                    key = (r + xp, yp)
-                    acc[key] = acc[key] + c if key in acc else c
-    return LambdaSeries.collect([{den * fact(p): acc for den, acc in by_den.items()}
-                                 for p, by_den in enumerate(sums)])
+            add_row(r, range(m_offset, end - r, m_step), K, nums, dens)
+    return LambdaSeries.collect([{d * fact(p): num}
+                                 for p, (d, num) in enumerate(zip(dens, nums))])
 
 
 def lemma1_branches(K: int) -> tuple[Branch, ...]:

@@ -234,12 +234,17 @@ _ONE = BivarPoly.monomial(1, 0, 0)
 
 
 def _merge(by_den: dict) -> BivarPoly:
-    """One BivarPoly from {den: {(xp, yp): num}} buckets, summed over the lcm of the dens."""
+    """One BivarPoly from {den: {(xp, yp): num}} buckets, summed over the lcm of the dens;
+    a den <= 0 raises ValueError."""
     if len(by_den) == 1:
         [(den, num)] = by_den.items()
+        if den <= 0:
+            raise ValueError(f"bucket denominators must be positive, got {den}")
     else:
         den, num = lcm(*by_den), {}
         for d, acc in by_den.items():
+            if d <= 0:
+                raise ValueError(f"bucket denominators must be positive, got {d}")
             f = den // d
             for k, v in acc.items():
                 v *= f
@@ -283,9 +288,10 @@ class LambdaSeries:
 
         sums[p] is {den: {(xp, yp): num}}, integer numerators each over its
         den > 0, which a producer fills in place; the order is len(sums) - 1.
-        Each lambda-power is merged once, over the lcm of its denominators, so
-        sums of zero vanish.  A lone bucket's dict may become the result's
-        numerators as it is: the producer must not reuse its buckets after the call.
+        A den <= 0 raises ValueError.  Each lambda-power is merged once, over the
+        lcm of its denominators, so sums of zero vanish.  A lone bucket's dict may
+        become the result's numerators as it is: the producer must not reuse its
+        buckets after the call.
         """
         return cls(len(sums) - 1, [_merge(by_den) for by_den in sums])
 

@@ -285,6 +285,14 @@ class TestRows:
             closed_form_HKL(4, 0, 2)
         assert closed_form_HKL(4, 0, 1) == closed_form_from_blocks(bad, 1)
 
+    def test_negative_lower_parameter_keeps_every_den_positive(self, monkeypatch):
+        # K = 2 with the lower parameter -3/2, which has no pole: term 1 divides by -3/2,
+        # so a remainder's den is negative until its sign moves to the numerator
+        patch_k2_lower(monkeypatch, (-3,))
+        got = closed_form_HKL(2, 0, 6)
+        assert got == closed_form_from_blocks(closed_forms.closed_form_plan(2), 6)
+        assert [c.den for c in got.coeffs] == [1, 3, 2, 6, 72, 120, 720]
+
 
 def patch_k2_lower(monkeypatch, lower):
     """Give K = 2's one branch the lower parameters ``lower`` (numerators over den 2)."""

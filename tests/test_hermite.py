@@ -130,17 +130,27 @@ class TestCoeffTable:
                                       * table(r, m))
             assert LambdaSeries(order, coeffs) == hermite_egf(order)
 
-    @given(st.integers(0, 80), st.integers(0, 12), st.integers(0, 250), st.integers(1, 16))
-    @example(r=3, start=12, stop=12, step=2)
-    @example(r=0, start=7, stop=3, step=5)
-    @example(r=4, start=1, stop=200, step=4)
+    @given(st.integers(0, 80), st.integers(0, 12), st.integers(0, 250), st.integers(1, 16),
+           st.integers(1, 8), st.sampled_from([1, 6]))
+    @example(r=3, start=12, stop=12, step=2, K=1, d0=1)
+    @example(r=0, start=7, stop=3, step=5, K=2, d0=1)
+    @example(r=4, start=1, stop=200, step=4, K=3, d0=6)
     @settings(max_examples=300, deadline=None)
-    def test_row_matches_the_entries(self, r, start, stop, step):
-        # the ratio-built Hermite row, and the default row, against the entries one by one
+    def test_row_matches_the_entries(self, r, start, stop, step, K, d0):
+        # the ratio-built Hermite row, and the default row, add the entries one by one,
+        # each at lambda^((r + m) // K) and times the den d0 its accumulator is over;
+        # added twice, each sums to twice the entry
         ms = range(start, stop, step)
-        want = [(m, g.num, g.den) for m in ms for g in (_hermite_entry(r, m),) if g.num]
-        assert hermite_coeff_table().row(r, ms) == want
-        assert CoeffTable(generator=_hermite_entry).row(r, ms) == want
+        size = (r + stop) // K + 1
+        want = [{} for _ in range(size)]
+        for m in ms:
+            for (xp, yp), c in _hermite_entry(r, m).num.items():
+                want[(r + m) // K][r + xp, yp] = 2 * c * d0
+        for table in (hermite_coeff_table(), CoeffTable(generator=_hermite_entry)):
+            nums, dens = [{} for _ in range(size)], [d0] * size
+            table.add_row(r, ms, K, nums, dens)
+            table.add_row(r, ms, K, nums, dens)
+            assert (nums, dens) == (want, [d0] * size)
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_dense_entries_match_their_fraction_form(self, seed):
@@ -158,5 +168,7 @@ class TestCoeffTable:
         for table in (hermite_coeff_table(), random_dense_table(seed=1)):
             for r, ms in ((-1, range(4)), (0, range(-2, 4)), (3, range(-1, 9, 2)),
                           (2, range(-3, -1))):
+                nums, dens = [{} for _ in range(10)], [1] * 10
                 with pytest.raises(ValueError, match="table indices must be non-negative"):
-                    table.row(r, ms)
+                    table.add_row(r, ms, 1, nums, dens)
+                assert (nums, dens) == ([{} for _ in range(10)], [1] * 10)

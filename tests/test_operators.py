@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from identities import series_sum
 
@@ -25,6 +25,19 @@ from lacunary import (
     resum_lemma1,
     shift,
 )
+
+
+# coefficients of the cancelling tables: dens 1, 2, 3, 4 and 6, both signs
+CANCELLING_VALUES = [Fraction(s * a, b) for s in (1, -1) for a in (1, 5) for b in (1, 2, 3, 4, 6)]
+
+
+def term_by_term_egf(table, order: int) -> LambdaSeries:
+    """The EGF sum_r x^r sum_m lambda^(r+m)/(r+m)! g_{r,m}(y), summed term by term."""
+    coeffs = [BivarPoly() for _ in range(order + 1)]
+    for r in range(order + 1):
+        for m in range(order + 1 - r):
+            coeffs[r + m] += BivarPoly.monomial(Fraction(1, fact(r + m)), r, 0) * table(r, m)
+    return LambdaSeries(order, coeffs)
 
 
 class TestDilate:
@@ -91,14 +104,37 @@ class TestResummation:
                                       for _ in range(rng.randint(0, 3))})
                    for r in range(top + 1) for m in range(top + 1 - r)}
         table = CoeffTable(generator=lambda r, m: entries[r, m], name="random")
-        # the EGF sum_r x^r sum_m lambda^(r+m)/(r+m)! g_{r,m}(y), summed term by term
-        coeffs = [BivarPoly() for _ in range(K * n + 1)]
-        for r in range(K * n + 1):
-            for m in range(K * n + 1 - r):
-                coeffs[r + m] += (BivarPoly.monomial(Fraction(1, fact(r + m)), r, 0)
-                                  * table(r, m))
-        egf = LambdaSeries(K * n, coeffs)
-        assert resum_lemma1(table, K, n) == dilate_bruteforce(egf, K)
+        assert resum_lemma1(table, K, n) == dilate_bruteforce(term_by_term_egf(table, K * n), K)
+
+    @given(st.integers(1, 3), st.integers(0, 3), st.dictionaries(
+        st.tuples(st.integers(0, 11), st.integers(0, 11)),
+        st.tuples(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 1)),
+                                  st.sampled_from(CANCELLING_VALUES), min_size=1, max_size=2),
+                  st.booleans()),
+        max_size=40))
+    @example(K=2, n=1, entries={  # dens 4, 2, then 3 at lambda^1, where the x^2 y terms cancel
+        (0, 2): ({(2, 1): Fraction(-3, 4)}, False), (2, 0): ({(0, 1): Fraction(1, 2)}, False),
+        (1, 1): ({(1, 1): Fraction(1, 4), (0, 1): Fraction(1, 3)}, False)})
+    @settings(max_examples=150, deadline=None)
+    def test_cancelling_table_against_bruteforce(self, K, n, entries):
+        # entries c x^xp y^yp with dens 1..6; a mirrored one also puts -c x^(xp+1) y^yp at
+        # (r-1, m+1), the same monomial at the same lambda-power, so the two cancel there
+        terms = {}
+
+        def put(at, key, c):
+            slot = terms.setdefault(at, {})
+            slot[key] = slot.get(key, 0) + c
+
+        for (r, m), (poly, mirrored) in entries.items():
+            for (xp, yp), c in poly.items():
+                put((r, m), (xp, yp), c)
+                if mirrored and r:
+                    put((r - 1, m + 1), (xp + 1, yp), -c)
+        polys = {at: BivarPoly(t) for at, t in terms.items()}
+        table = CoeffTable(generator=lambda r, m: polys.get((r, m), BivarPoly()), name="cancel")
+        want = dilate_bruteforce(term_by_term_egf(table, K * n), K)
+        assert resum_lemma1(table, K, n) == want
+        assert series_sum(*resum_corollary1(table, K, n)) == want
 
     def test_parity_split_on_hermite_table(self):
         table = hermite_coeff_table()

@@ -162,6 +162,14 @@ class TestCollect:
                                                {(1, 0): Fraction(2, 3), (0, 1): Fraction(1, 3)},
                                                {(1, 0): Fraction(5, 6)}]
 
+    def test_a_den_that_is_not_positive_is_refused(self):
+        # a lone bucket, and one of several
+        for den in (0, -2):
+            for sums in ([{den: {(0, 0): 1}}],
+                         [{1: {(0, 0): 1}}, {3: {(1, 0): 1}, den: {(0, 1): 1}}]):
+                with pytest.raises(ValueError, match="bucket denominators must be positive"):
+                    LambdaSeries.collect(sums)
+
     def test_order_is_one_less_than_the_buckets(self):
         assert LambdaSeries.collect([{}]) == LambdaSeries(0)
         assert LambdaSeries.collect([{5: {(0, 0): 10}}, {}]) == LambdaSeries(1, [2, 0])
