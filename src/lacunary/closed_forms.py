@@ -15,8 +15,9 @@ each prefactor x-power x^P by the Leibniz sum D^L x^P, D = x + 2y d/dx,
 
 Each lambda^p coefficient is summed as one row of integers over p!, indexed by the
 y-power k of its monomials x^(Kp+L-2k) y^k; the s-cut at the order is exact.  The
-term ratios of all the blocks come from two tables built once per call: the upper
-products per lambda-power and the lower ones per branch.
+term ratios of all the blocks come from two tables built once per plan, for every L
+and every order up to the one they were built to: the upper products per lambda-power and
+the lower ones per branch.
 """
 
 from __future__ import annotations
@@ -105,51 +106,75 @@ def _leibniz_prefactor(P: int, parts: list[list]) -> list:
     return out
 
 
-def _evaluate_plan(plan: ClosedFormPlan, L: int, order: int) -> list[dict]:
-    """Sum over branches and lambda-powers p0 of lambda^p0 * prefactor * pFq block.
+_TABLES: dict = {}  # ClosedFormPlan -> (order, its _ratio_tables), oldest first
+_MAX_PLANS = 16  # at least one per K of a verify sweep (K <= 12)
 
-    rows[p] is {f: row}: row[k] is an integer over p! * f at x^(K*p+L-2k) y^k, as
-    K*lp = 2*yp.  Block term t of (b, p0) adds c[j] * v at p = p0 + t*lp,
-    k = b + t*yp + j, for c the Leibniz list of x^(K*p0-2b) ([1] at L = 0) and v the
-    term times (K*p0)! p! / ((K*p0-2b)! b! p0!): (K*p)! / ((K*p-2k)! k!) at L = 0 for
-    a correct plan.  As den = K*lp, the upper numerators K*p0 + j + (t-1)*den of the
-    ratio into term t are K*(p-lp) + j, so the ratio times p!/(p-lp)! is up[p] /
-    down_b[t-1], with up built once per lambda-power and down_b once per branch, both
-    from ``ratio_products``.  v starts at (K*p0)! / ((K*p0-2b)! b!) and takes one
-    multiply and one divmod per term; a remainder is not rounded: from there on v
-    carries its gcd-reduced denominator vd and goes to a row over p! * vd.  The block
-    is cut so that its last term stays within the order.
-    """
-    K, den, (coef, lp, yp) = plan.K, plan.den, plan.arg
-    rows = [{1: [0] * ((K * p + L) // 2 + 1)} for p in range(order + 1)]
-    parts = _leibniz_parts(L, K * order)
+
+def _ratio_tables(plan: ClosedFormPlan, order: int) -> list[tuple[list, list]]:
+    """Each branch's (down_b, ub), from ``ratio_products``: ub[p] / down_b[t-1] is the
+    ratio of block term t to term t-1 at lambda-power p, times p!/(p-lp)!.  No entry
+    depends on the order, only their number does, so tables built to order N serve every
+    order <= N.  They are kept for the last _MAX_PLANS plans, keyed by the plan, never by
+    K; a larger order replaces them whole.  A pole raises PoleError before any is kept."""
+    if (held := _TABLES.get(plan)) and held[0] >= order:
+        return held[1]
+    K, den, (coef, lp, _) = plan.K, plan.den, plan.arg
     up = [0] * (order + 1)
     for r in range(lp):  # one class of p - lp mod lp per call: K*(p-lp) steps by den
         ups, _ = ratio_products([K * r + j for j in plan.upper], (), den, (order - r) // lp + 1)
         for p, u in zip(range(lp + r, order + 1, lp), ups):
             up[p] = coef * u * perm(p, lp)
-    for d, b, lower in plan.branches:
+    tables = []
+    for d, _, lower in plan.branches:
         e = len(plan.upper) - len(lower)  # the ratio's den^len(lower) / den^len(upper)
         _, downs = ratio_products((), lower, den, (order - d) // lp + 1)
-        down = [t * den ** max(e, 0) * v for t, v in enumerate(downs, 1)]
-        ub = up if e >= 0 else [u * den ** -e for u in up]
+        tables.append(([t * den ** max(e, 0) * v for t, v in enumerate(downs, 1)],
+                       up if e >= 0 else [u * den ** -e for u in up]))
+    if held is None and len(_TABLES) == _MAX_PLANS:
+        del _TABLES[next(iter(_TABLES))]
+    _TABLES[plan] = (order, tables)
+    return tables
+
+
+def _evaluate_plan(plan: ClosedFormPlan, L: int, order: int) -> list[dict]:
+    """Sum over branches and lambda-powers p0 of lambda^p0 * prefactor * pFq block.
+
+    rows[p] is {f: row}: row[k] is an integer over p! * f at x^(K*p+L-2k) y^k, as
+    K*lp = 2*yp.  Block term t of (b, p0) adds c[j] * v at p = p0 + t*lp,
+    k = b + t*yp + j, for c the Leibniz list of x^(K*p0-2b) (at L = 0 just v at k) and
+    v the term times (K*p0)! p! / ((K*p0-2b)! b! p0!): (K*p)! / ((K*p-2k)! k!) at L = 0
+    for a correct plan.  As den = K*lp, the upper numerators K*p0 + j + (t-1)*den of
+    the ratio into term t are K*(p-lp) + j, so the ratio times p!/(p-lp)! is
+    ub[p] / down_b[t-1] from ``_ratio_tables``.  v starts at (K*p0)! / ((K*p0-2b)! b!)
+    and takes one multiply and one divmod per term, on integers alone while each divides;
+    a remainder is not rounded: v carries its gcd-reduced denominator vd into a row over
+    p! * vd until vd is 1 again.  The block is cut so that its last term stays within the order.
+    """
+    K, (_, lp, yp) = plan.K, plan.arg
+    rows = [{1: [0] * ((K * p + L) // 2 + 1)} for p in range(order + 1)]
+    parts = _leibniz_parts(L, K * order)
+    for (d, b, _), (down, ub) in zip(plan.branches, _ratio_tables(plan, order)):
         for p0 in range(d, order + 1):
             n = K * p0
-            pref = _leibniz_prefactor(n - 2 * b, parts) if L else [1]
-            v, vd = fact(n) // (fact(n - 2 * b) * fact(b)), 1
-            for t in range((order - p0) // lp + 1):
-                p, k = p0 + t * lp, b + t * yp
-                if t:
-                    v, vd = v * ub[p], vd * down[t - 1]
-                    s, r = divmod(v, vd)
+            pref = _leibniz_prefactor(n - 2 * b, parts) if L else None
+            v, vd, k = fact(n) // (fact(n - 2 * b) * fact(b)), 1, b
+            for t, p in enumerate(range(p0, order + 1, lp)):
+                if t and vd == 1:
+                    v, r = divmod(v * ub[p], down[t - 1])
                     if r:  # only a wrong plan leaves a remainder
-                        g = gcd(v, vd) if vd > 0 else -gcd(v, vd)
-                        v, vd = v // g, vd // g
-                    else:
-                        v, vd = s, 1
+                        v, vd = v * down[t - 1] + r, down[t - 1]
+                elif t:
+                    v, vd = v * ub[p], vd * down[t - 1]
+                if vd != 1:
+                    g = gcd(v, vd) if vd > 0 else -gcd(v, vd)
+                    v, vd = v // g, vd // g
                 row = rows[p][1] if vd == 1 else rows[p].setdefault(vd, [0] * len(rows[p][1]))
-                for j, c in enumerate(pref, k):
-                    row[j] += c * v
+                if pref is None:
+                    row[k] += v
+                else:
+                    for j, c in enumerate(pref, k):
+                        row[j] += c * v
+                k += yp
     return rows
 
 

@@ -8,10 +8,14 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lacunary
 import lacunary.operators
@@ -581,3 +585,68 @@ class TestSubcommands:
         monkeypatch.setenv("LACUNAE_CAP", "abc")
         assert main(["verify", "--kmin", "2", "--kmax", "3"]) == 2
         assert "LACUNAE_CAP" in capsys.readouterr().err
+
+
+# the argument grammar of every subcommand: its positionals (normal-order's two required
+# options among them) and its options, with values that are valid, out of range or not
+# numbers; "{tmp}" is a fresh directory
+NUMBER = st.sampled_from([str(n) for n in range(-2, 10)] + ["x", "", "2.5", "9" * 30])
+FORMAT = st.sampled_from(["json", "text", "plan", "csv"])
+IN_PATH = st.sampled_from(["-", "{tmp}/in.json", "{tmp}/missing/in.json"])
+OUT_PATH = st.sampled_from(["{tmp}/out", "{tmp}/missing/out"])
+TERMS = st.sampled_from(["[]", Q1, V1, Q2, V2, '[{"xp":0}]', "{}", "[", '[{"xp":1,"yp":0,'
+                         '"num":"1","den":"0"}]'])
+GRAMMAR = {
+    "verify": ([], dict.fromkeys(["--kmin", "--kmax", "--lmin", "--lmax", "--nmax", "--seed"],
+                                 NUMBER)),
+    "hermite": ([NUMBER], {"--format": FORMAT}),
+    "closed-form": ([NUMBER, NUMBER], {"--order": NUMBER, "--format": FORMAT}),
+    "dilate": ([NUMBER], {"--in": IN_PATH}),
+    "shift": ([NUMBER], {"--in": IN_PATH}),
+    "normal-order": ([st.just("--q"), TERMS, st.just("--v"), TERMS], {"--order": NUMBER}),
+    "emit": ([st.sampled_from(["egf", "egf", "hk0"])], {"--order": NUMBER, "--format": FORMAT}),
+}
+RARELY = st.sampled_from([0, 0, 0, 1])  # 1 in about a quarter of the draws
+EGF_6 = json.dumps(hermite_egf(6).to_json())
+# stdin of dilate and shift: a series, a series past the cap, and bodies that are not one
+STDIN = st.sampled_from([EGF_6, SMALL_SERIES, ZERO_SERIES, "", "{", "[]",
+                         '{"order":-1,"coeffs":[]}', '{"order":1,"coeffs":[[]]}'])
+
+
+@st.composite
+def argument_lists(draw):
+    """A subcommand, its positionals (now and then the last one left out), some of its
+    options (--out among them) with values, and now and then a stray token."""
+    name = draw(st.sampled_from(sorted(GRAMMAR)))
+    positionals, options = GRAMMAR[name]
+    options = {**options, "--out": OUT_PATH}
+    argv = [name] + [draw(s) for s in positionals][:len(positionals) - draw(RARELY)]
+    for flag in draw(st.lists(st.sampled_from(sorted(options)), max_size=4)):
+        argv += [flag, draw(options[flag])]
+    if draw(RARELY):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--nope", "-h", "7"])))
+    return argv
+
+
+@given(argument_lists(), STDIN)
+@settings(max_examples=150, deadline=None)
+def test_error_contract(argv, stdin):
+    # whatever the arguments, main ends with 0, 1 (a failing verify case) or 2 (bad
+    # input, named on stderr by "error: " or by argparse's usage), never a traceback
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        Path(tmp, "in.json").write_text(EGF_6)
+        mp.setenv("LACUNAE_CAP", "20")
+        mp.setattr("sys.stdin", io.StringIO(stdin))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                status = main([a.replace("{tmp}", tmp) for a in argv])
+            except SystemExit as exc:  # argparse: a usage error, or -h
+                status = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert status in (0, 1, 2), (argv, status)
+    if status == 1:
+        assert out.startswith("FAIL "), (argv, out)
+    if status == 2:
+        assert err.startswith("error: ") or (err.startswith("usage: ") and ": error: " in err), (
+            argv, err)

@@ -1,6 +1,7 @@
 """Closed-form generating functions vs the brute-force Hermite oracle."""
 
 import ast
+import copy
 import hashlib
 import itertools
 import json
@@ -221,6 +222,33 @@ def raise_d(p: BivarPoly) -> BivarPoly:
     return BivarPoly.monomial(1, 1, 0) * p + BivarPoly.monomial(2, 0, 1) * diff_x(p, 1)
 
 
+WRONG_K = [1, 2, 3, 5, 6, 9]
+# sha256 of the closed forms at L = 1 and 3 and the rk_series of every wrong plan
+WRONG_DIGEST = "286bf3ae82e71213e9c0388d45797eb0256bb0e6cae2301640e6b219b3331d7f"
+
+
+def wrong_plans(K):
+    """Six wrong plans for K: an added and a dropped upper parameter, a scaled argument,
+    and lower parameters added, shifted up and shifted down (some below 0)."""
+    plan = closed_form_plan(K)
+    coef, lp, yp = plan.arg
+    return [plan._replace(upper=plan.upper + (K + 1,)),
+            plan._replace(upper=plan.upper[1:]),
+            plan._replace(arg=(3 * coef + 1, lp, yp)),
+            plan._replace(branches=tuple(br._replace(lower=br.lower + (2 * b + 3,))
+                                         for b, br in enumerate(plan.branches))),
+            plan._replace(branches=tuple(br._replace(lower=tuple(m + 1 for m in br.lower))
+                                         for br in plan.branches)),
+            plan._replace(branches=tuple(br._replace(lower=tuple(m - 3 for m in br.lower))
+                                         for br in plan.branches))]
+
+
+def k4_pole_plan():
+    """K = 4 with branch 0's lower parameter -1 (-4 over den 4): a pole at term 2."""
+    plan = closed_form_plan(4)
+    return plan._replace(branches=(plan.branches[0]._replace(lower=(-4,)),) + plan.branches[1:])
+
+
 class TestRows:
     def test_leibniz_prefactor_is_d_to_the_l_of_x_to_the_p(self):
         # D = x + 2y d/dx applied L times to x^P, for parts cut at every top from P to
@@ -255,31 +283,30 @@ class TestRows:
             n = 8 if K > 6 else 16
             assert closed_form_HKL(K, 0, n) == closed_form_from_blocks(closed_form_plan(K), n), K
 
-    @pytest.mark.parametrize("K", [1, 2, 3, 5, 6, 9])
+    @pytest.mark.parametrize("K", WRONG_K)
     def test_wrong_plan_is_the_sum_of_its_pfq_blocks(self, K, monkeypatch):
         # the shared ratio tables add up what the blocks of a wrong plan add up, exactly:
         # shifted (some below 0), added and dropped parameters and a scaled argument
-        plan = closed_form_plan(K)
-        coef, lp, yp = plan.arg
-        wrong = [plan._replace(upper=plan.upper + (K + 1,)),
-                 plan._replace(upper=plan.upper[1:]),
-                 plan._replace(arg=(3 * coef + 1, lp, yp)),
-                 plan._replace(branches=tuple(br._replace(lower=br.lower + (2 * b + 3,))
-                                              for b, br in enumerate(plan.branches))),
-                 plan._replace(branches=tuple(br._replace(lower=tuple(m + 1 for m in br.lower))
-                                              for br in plan.branches)),
-                 plan._replace(branches=tuple(br._replace(lower=tuple(m - 3 for m in br.lower))
-                                              for br in plan.branches))]
-        for i, bad in enumerate(wrong):
+        for i, bad in enumerate(wrong_plans(K)):
             monkeypatch.setattr(closed_forms, "closed_form_plan", lambda K: bad)
             assert closed_form_HKL(K, 0, 7) == closed_form_from_blocks(bad, 7), i
+
+    def test_wrong_plans_beyond_l0_are_pinned(self, monkeypatch):
+        # the remainder rows of the wrong plans through the Leibniz prefactors and
+        # through D, pinned bit for bit
+        out = []
+        for K in WRONG_K:
+            for bad in wrong_plans(K):
+                monkeypatch.setattr(closed_forms, "closed_form_plan", lambda K: bad)
+                out.append([closed_form_HKL(K, L, 7).to_json() for L in (1, 3)])
+                out.append([s.to_json() for s in rk_series(K, 2, 5).mu_coeffs])
+        text = json.dumps(out)
+        assert hashlib.sha256(text.encode()).hexdigest() == WRONG_DIGEST
 
     def test_pole_in_a_lower_parameter_is_raised(self, monkeypatch):
         # K = 4's branch 0 with the lower parameter -1 (-4 over den 4): term 2 divides
         # by (-1)_2 = 0, which order 2 reaches and order 1 does not
-        plan = closed_form_plan(4)
-        bad = plan._replace(branches=(plan.branches[0]._replace(lower=(-4,)),)
-                            + plan.branches[1:])
+        bad = k4_pole_plan()
         monkeypatch.setattr(closed_forms, "closed_form_plan", lambda K: bad)
         with pytest.raises(PoleError):
             closed_form_HKL(4, 0, 2)
@@ -292,6 +319,78 @@ class TestRows:
         got = closed_form_HKL(2, 0, 6)
         assert got == closed_form_from_blocks(closed_forms.closed_form_plan(2), 6)
         assert [c.den for c in got.coeffs] == [1, 3, 2, 6, 72, 120, 720]
+
+
+class TestRatioTables:
+    """The ratio tables are built once per plan and order, and only read after."""
+
+    @pytest.fixture(autouse=True)
+    def no_tables(self, monkeypatch):
+        monkeypatch.setattr(closed_forms, "_TABLES", {})
+
+    def test_tables_are_kept_per_plan_not_per_k(self, monkeypatch):
+        # a wrong plan for K right after the true one, and the true one right after it,
+        # each read their own tables, never those that another plan for K left
+        plan = closed_form_plan(3)
+        for bad in wrong_plans(3)[::2]:
+            want = {(p, L): untabled(p, 3, L, 6) for p in (plan, bad) for L in (0, 2)}
+            assert want[plan, 2] != want[bad, 2]
+            for p in (plan, bad, plan):
+                monkeypatch.setattr(closed_forms, "closed_form_plan", lambda K, p=p: p)
+                assert [closed_form_HKL(3, L, 6) for L in (0, 2)] == [want[p, 0], want[p, 2]]
+
+    def test_a_smaller_order_builds_nothing(self, monkeypatch):
+        # K = 5: one upper product per class of lambda-power (lp = 2) and one lower
+        # product per branch (5); a larger order builds them once more, anew
+        plan = closed_form_plan(5)
+        want = {(L, n): untabled(plan, 5, L, n) for L, n in ((0, 6), (3, 2), (0, 4), (1, 8))}
+        calls = []
+        products = closed_forms.ratio_products
+        monkeypatch.setattr(closed_forms, "ratio_products",
+                            lambda *args: calls.append(args) or products(*args))
+        assert closed_form_HKL(5, 0, 6) == want[0, 6] and len(calls) == 7
+        assert closed_form_HKL(5, 3, 2) == want[3, 2] and len(calls) == 7
+        assert rk_series(5, 1, 4).mu_coeffs[0] == want[0, 4] and len(calls) == 7
+        assert closed_form_HKL(5, 1, 8) == want[1, 8] and len(calls) == 14
+        assert closed_form_HKL(5, 0, 6) == want[0, 6] and len(calls) == 14
+        assert [order for order, _ in closed_forms._TABLES.values()] == [8]
+
+    def test_at_most_16_plans_are_held(self):
+        for K in range(1, 21):
+            closed_form_HKL(K, 0, 2)
+        assert [plan.K for plan in closed_forms._TABLES] == list(range(5, 21))
+
+    def test_a_pole_is_raised_after_a_smaller_order(self, monkeypatch):
+        # the tables of order 1 hold no pole; order 2 builds anew and meets it, and
+        # keeps nothing of it
+        bad = k4_pole_plan()
+        monkeypatch.setattr(closed_forms, "closed_form_plan", lambda K: bad)
+        assert closed_form_HKL(4, 0, 1) == closed_form_from_blocks(bad, 1)
+        with pytest.raises(PoleError):
+            closed_form_HKL(4, 0, 2)
+        with pytest.raises(PoleError):
+            rk_series(4, 1, 3)
+        assert [order for order, _ in closed_forms._TABLES.values()] == [1]
+
+    def test_a_call_leaves_the_tables_unchanged(self, monkeypatch):
+        # rk_series runs D in place on its rows, and a wrong plan leaves remainders;
+        # neither writes into the tables that it read
+        for plan in (closed_form_plan(6), wrong_plans(6)[4]):
+            monkeypatch.setattr(closed_forms, "closed_form_plan", lambda K: plan)
+            closed_form_HKL(6, 0, 7)
+            held = copy.deepcopy(closed_forms._TABLES)
+            for L, n in ((0, 7), (3, 5), (1, 7)):
+                closed_form_HKL(6, L, n)
+            rk_series(6, 3, 7)
+            assert closed_forms._TABLES == held
+
+
+def untabled(plan, K, L, order):
+    """closed_form_HKL(K, L, order) under plan, with no ratio tables stored before or after."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(closed_forms, "_TABLES", {})
+        mp.setattr(closed_forms, "closed_form_plan", lambda K: plan)
+        return closed_form_HKL(K, L, order)
 
 
 def patch_k2_lower(monkeypatch, lower):
