@@ -14,10 +14,11 @@ each prefactor x-power x^P by the Leibniz sum D^L x^P, D = x + 2y d/dx,
     sum_q q! C(L,q) C(P,q) H_{L-q}(x,y) x^(P-q) (2y)^q.
 
 Each lambda^p coefficient is summed as one row of integers over p!, indexed by the
-y-power k of its monomials x^(Kp+L-2k) y^k; the s-cut at the order is exact.  The
-term ratios of all the blocks come from two tables built once per plan, for every L
-and every order up to the one they were built to: the upper products per lambda-power and
-the lower ones per branch.
+y-power k of its monomials x^(Kp+L-2k) y^k; the s-cut at the order is exact.  Nothing
+that depends on K, L or P alone is built twice while it is held: the plan per K; per
+plan, for every L and every order up to the one they were built to, the upper term-ratio
+products per lambda-power and, per branch, the lower ones and the block start values;
+and D^L x^P per (L, P).  Each store holds a fixed number of entries, oldest dropped first.
 """
 
 from __future__ import annotations
@@ -62,6 +63,20 @@ class ClosedFormPlan(namedtuple("ClosedFormPlan", "K den upper arg branches")):
         } for d, b, lower in self.branches]}
 
 
+_PLANS: dict = {}  # K -> its ClosedFormPlan, oldest first
+_TABLES: dict = {}  # ClosedFormPlan -> (order, its _ratio_tables), oldest first
+_LISTS: dict = {}  # (L, P) -> D^L x^P as a tuple from _leibniz_prefactor, oldest first
+_MAX_PLANS, _MAX_LISTS = 16, 1024  # at least one plan per K of a verify sweep (K <= 12)
+
+
+def _hold(store: dict, key, value, most: int):
+    """store[key] = value, first dropping the oldest entry if a new key would make most + 1."""
+    if key not in store and len(store) >= most:
+        del store[next(iter(store))]
+    store[key] = value
+    return value
+
+
 def closed_form_plan(K: int) -> ClosedFormPlan:
     """Branch structure of the K-tuple closed form (K >= 1).
 
@@ -72,17 +87,20 @@ def closed_form_plan(K: int) -> ClosedFormPlan:
     The branch with y-power b has the lower parameters m/P, m = b+1 ... b+P
     except P.  There is one branch per y-power b = 0 ... P-1, with the
     lambda-shift d = ceil(2b/K): the least d that makes the x-power K*d - 2b
-    non-negative.  K = 1 has the one branch exp(lambda*x) 0F0(;;lambda^2*y).
+    non-negative.  K = 1 has the one branch exp(lambda*x) 0F0(;;lambda^2*y).  The plans
+    of the last _MAX_PLANS K are held, so a repeated K gets the same object.
     """
+    if (plan := _PLANS.get(K)) is not None:
+        return plan
     if K < 1:
         raise ValueError("K must be >= 1")
     P = K // 2 if K % 2 == 0 else K
     arg = ((2 * K) ** P, 1, P) if K % 2 == 0 else ((4 * K) ** K // 4, 2, K)
     upper = tuple(j for j in range(1, 2 * P) if j != K)
-    return ClosedFormPlan(K, 2 * P, upper, arg, tuple(
+    return _hold(_PLANS, K, ClosedFormPlan(K, 2 * P, upper, arg, tuple(
         ClosedFormBranch(-(-2 * b // K), b,
                          tuple(2 * m for m in range(b + 1, b + P + 1) if m != P))
-        for b in range(P)))
+        for b in range(P))), _MAX_PLANS)
 
 
 def _leibniz_parts(L: int, top: int) -> list[list]:
@@ -106,16 +124,13 @@ def _leibniz_prefactor(P: int, parts: list[list]) -> list:
     return out
 
 
-_TABLES: dict = {}  # ClosedFormPlan -> (order, its _ratio_tables), oldest first
-_MAX_PLANS = 16  # at least one per K of a verify sweep (K <= 12)
-
-
-def _ratio_tables(plan: ClosedFormPlan, order: int) -> list[tuple[list, list]]:
-    """Each branch's (down_b, ub), from ``ratio_products``: ub[p] / down_b[t-1] is the
-    ratio of block term t to term t-1 at lambda-power p, times p!/(p-lp)!.  No entry
-    depends on the order, only their number does, so tables built to order N serve every
-    order <= N.  They are kept for the last _MAX_PLANS plans, keyed by the plan, never by
-    K; a larger order replaces them whole.  A pole raises PoleError before any is kept."""
+def _ratio_tables(plan: ClosedFormPlan, order: int) -> list[tuple[list, list, list]]:
+    """Each branch's (down_b, ub, starts), ub and down_b from ``ratio_products``: ub[p] /
+    down_b[t-1] is the ratio of block term t to term t-1 at lambda-power p, times
+    p!/(p-lp)!, and starts[p0] = (K*p0)! / ((K*p0-2b)! b!) for p0 >= d.  No entry depends
+    on the order, only their number does, so tables built to order N serve every order
+    <= N.  They are kept for the last _MAX_PLANS plans, keyed by the plan, never by K; a
+    larger order replaces them whole.  A pole raises PoleError before any is kept."""
     if (held := _TABLES.get(plan)) and held[0] >= order:
         return held[1]
     K, den, (coef, lp, _) = plan.K, plan.den, plan.arg
@@ -125,15 +140,14 @@ def _ratio_tables(plan: ClosedFormPlan, order: int) -> list[tuple[list, list]]:
         for p, u in zip(range(lp + r, order + 1, lp), ups):
             up[p] = coef * u * perm(p, lp)
     tables = []
-    for d, _, lower in plan.branches:
+    for d, b, lower in plan.branches:
         e = len(plan.upper) - len(lower)  # the ratio's den^len(lower) / den^len(upper)
         _, downs = ratio_products((), lower, den, (order - d) // lp + 1)
         tables.append(([t * den ** max(e, 0) * v for t, v in enumerate(downs, 1)],
-                       up if e >= 0 else [u * den ** -e for u in up]))
-    if held is None and len(_TABLES) == _MAX_PLANS:
-        del _TABLES[next(iter(_TABLES))]
-    _TABLES[plan] = (order, tables)
-    return tables
+                       up if e >= 0 else [u * den ** -e for u in up],
+                       [0] * d + [fact(n) // (fact(n - 2 * b) * fact(b))
+                                  for n in range(K * d, K * order + 1, K)]))
+    return _hold(_TABLES, plan, (order, tables), _MAX_PLANS)[1]
 
 
 def _evaluate_plan(plan: ClosedFormPlan, L: int, order: int) -> list[dict]:
@@ -145,19 +159,24 @@ def _evaluate_plan(plan: ClosedFormPlan, L: int, order: int) -> list[dict]:
     v the term times (K*p0)! p! / ((K*p0-2b)! b! p0!): (K*p)! / ((K*p-2k)! k!) at L = 0
     for a correct plan.  As den = K*lp, the upper numerators K*p0 + j + (t-1)*den of
     the ratio into term t are K*(p-lp) + j, so the ratio times p!/(p-lp)! is
-    ub[p] / down_b[t-1] from ``_ratio_tables``.  v starts at (K*p0)! / ((K*p0-2b)! b!)
-    and takes one multiply and one divmod per term, on integers alone while each divides;
-    a remainder is not rounded: v carries its gcd-reduced denominator vd into a row over
-    p! * vd until vd is 1 again.  The block is cut so that its last term stays within the order.
+    ub[p] / down_b[t-1] from ``_ratio_tables``.  v starts at starts[p0] = (K*p0)! /
+    ((K*p0-2b)! b!), from the same tables, and takes one multiply and one divmod per term,
+    on integers alone while each divides; a remainder is not rounded: v carries its
+    gcd-reduced denominator vd into a row over p! * vd until vd is 1 again.  The block is
+    cut so that its last term stays within the order.  At L > 0 the Leibniz list of each
+    (L, P) is read from _LISTS, held for every plan, as it is D^L x^P whatever the plan;
+    a miss builds it from _leibniz_parts, which runs at most once per call.
     """
     K, (_, lp, yp) = plan.K, plan.arg
     rows = [{1: [0] * ((K * p + L) // 2 + 1)} for p in range(order + 1)]
-    parts = _leibniz_parts(L, K * order)
-    for (d, b, _), (down, ub) in zip(plan.branches, _ratio_tables(plan, order)):
+    parts = None
+    for (d, b, _), (down, ub, starts) in zip(plan.branches, _ratio_tables(plan, order)):
         for p0 in range(d, order + 1):
-            n = K * p0
-            pref = _leibniz_prefactor(n - 2 * b, parts) if L else None
-            v, vd, k = fact(n) // (fact(n - 2 * b) * fact(b)), 1, b
+            P = K * p0 - 2 * b
+            if L and (pref := _LISTS.get((L, P))) is None:
+                parts = parts or _leibniz_parts(L, K * order)
+                pref = _hold(_LISTS, (L, P), tuple(_leibniz_prefactor(P, parts)), _MAX_LISTS)
+            v, vd, k = starts[p0], 1, b
             for t, p in enumerate(range(p0, order + 1, lp)):
                 if t and vd == 1:
                     v, r = divmod(v * ub[p], down[t - 1])
@@ -169,7 +188,7 @@ def _evaluate_plan(plan: ClosedFormPlan, L: int, order: int) -> list[dict]:
                     g = gcd(v, vd) if vd > 0 else -gcd(v, vd)
                     v, vd = v // g, vd // g
                 row = rows[p][1] if vd == 1 else rows[p].setdefault(vd, [0] * len(rows[p][1]))
-                if pref is None:
+                if not L:
                     row[k] += v
                 else:
                     for j, c in enumerate(pref, k):
@@ -187,8 +206,8 @@ def _collect(rows: list[dict], K: int, L: int, scale: int = 1) -> LambdaSeries:
 
 def closed_form_HKL(K: int, L: int, order: int) -> LambdaSeries:
     """K-tuple L-shifted closed form: n! [lambda^n] = H_(nK+L)(x, y)."""
-    if L < 0:
-        raise ValueError("L must be >= 0")
+    if L < 0 or order < 0:  # before closed_form_plan, so that a refused call stores nothing
+        raise ValueError(f"L and order must be >= 0, got L = {L}, order = {order}")
     return _collect(_evaluate_plan(closed_form_plan(K), L, order), K, L)
 
 

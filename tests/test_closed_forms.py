@@ -385,6 +385,108 @@ class TestRatioTables:
             assert closed_forms._TABLES == held
 
 
+class TestLeibnizLists:
+    """D^L x^P is built once per (L, P) and held for every plan, and only read after."""
+
+    @pytest.fixture(autouse=True)
+    def no_lists(self, monkeypatch):
+        monkeypatch.setattr(closed_forms, "_LISTS", {})
+
+    def test_held_lists_are_d_to_the_l_of_x_to_the_p(self):
+        # K = 1 at order 12 holds every P <= 12; the other K read, and add, no other
+        for K, L in itertools.product(range(1, 13), range(1, 9)):
+            closed_form_HKL(K, L, 12 // K)
+        want = {}
+        for P in range(13):
+            poly = BivarPoly.monomial(1, P, 0)
+            for L in range(1, 9):
+                poly = raise_d(poly)
+                want[L, P] = poly
+        assert closed_forms._LISTS.keys() == want.keys()
+        for (L, P), c in closed_forms._LISTS.items():
+            assert BivarPoly({(P + L - 2 * j, j): v for j, v in enumerate(c)}) == want[L, P]
+
+    def test_a_call_whose_lists_are_held_builds_no_parts(self, monkeypatch):
+        # a cold call builds the parts once for all its P; a call that reads only held
+        # lists, at the same or a smaller order, another K or a wrong plan, builds none
+        calls = []
+        parts = closed_forms._leibniz_parts
+        monkeypatch.setattr(closed_forms, "_leibniz_parts",
+                            lambda L, top: calls.append((L, top)) or parts(L, top))
+        want = closed_form_HKL(5, 3, 4)
+        assert calls == [(3, 20)] and len(closed_forms._LISTS) > 1
+        assert closed_form_HKL(5, 3, 4) == want and closed_form_HKL(5, 3, 2).order == 2
+        closed_form_HKL(1, 3, 5)
+        bad = wrong_plans(5)[2]
+        monkeypatch.setattr(closed_forms, "closed_form_plan", lambda K: bad)
+        assert closed_form_HKL(5, 3, 4) == untabled(bad, 5, 3, 4)
+        assert calls == [(3, 20)]
+
+    def test_at_most_1024_lists_are_held(self):
+        # K = 1 at order 12 adds the 13 lists P = 0 .. 12 of its L, in that order
+        for L in range(1, 81):
+            closed_form_HKL(1, L, 12)
+        keys = [(L, P) for L in range(1, 81) for P in range(13)]
+        assert list(closed_forms._LISTS) == keys[-1024:]
+
+    def test_a_call_leaves_the_lists_unchanged(self, monkeypatch):
+        # true and wrong plans share the lists, and rk_series runs D in place on its own
+        # rows; no call writes into a list that it read
+        for plan in (closed_form_plan(6), wrong_plans(6)[4], wrong_plans(6)[0]):
+            monkeypatch.setattr(closed_forms, "closed_form_plan", lambda K: plan)
+            closed_form_HKL(6, 3, 7)
+            held = copy.deepcopy(closed_forms._LISTS)
+            assert all(type(c) is tuple for c in held.values())
+            for L, n in ((3, 7), (3, 5), (0, 7)):
+                closed_form_HKL(6, L, n)
+            rk_series(6, 3, 7)
+            assert closed_forms._LISTS == held
+
+
+class TestHeldPlans:
+    @pytest.fixture(autouse=True)
+    def no_plans(self, monkeypatch):
+        monkeypatch.setattr(closed_forms, "_PLANS", {})
+
+    def test_a_repeated_k_gets_the_same_plan(self):
+        for K in range(1, 13):
+            assert closed_form_plan(K) is closed_form_plan(K)
+
+    def test_k_below_one_stores_nothing(self):
+        for K in (0, -3):
+            with pytest.raises(ValueError, match="K must be >= 1"):
+                closed_form_plan(K)
+        assert closed_forms._PLANS == {}
+
+    def test_at_most_16_plans_are_held(self):
+        plans = [closed_form_plan(K) for K in range(1, 21)]
+        assert list(closed_forms._PLANS.values()) == plans[4:]
+        assert closed_form_plan(1) == plans[0] and list(closed_forms._PLANS)[-1] == 1
+
+
+def test_a_negative_order_is_refused_before_anything_is_stored(monkeypatch):
+    # with 16 plans' tables held, a refused call must not drop the oldest of them
+    for name in ("_PLANS", "_TABLES", "_LISTS"):
+        monkeypatch.setattr(closed_forms, name, {})
+    for K in range(1, 17):
+        closed_form_HKL(K, 1, 1)
+    held = [dict(getattr(closed_forms, name)) for name in ("_PLANS", "_TABLES", "_LISTS")]
+    for K, L in ((17, 0), (17, 2), (3, 0), (3, 2)):
+        with pytest.raises(ValueError, match="order = -1"):
+            closed_form_HKL(K, L, -1)
+    assert [getattr(closed_forms, name) for name in ("_PLANS", "_TABLES", "_LISTS")] == held
+
+
+def test_a_warm_sweep_repeats_the_cold_one(monkeypatch):
+    # the second sweep reads the plans, tables and lists that the first one built
+    for name in ("_PLANS", "_TABLES", "_LISTS"):
+        monkeypatch.setattr(closed_forms, name, {})
+    n_max = {K: 8 for K in range(2, 9)}
+    cold = run_verification(n_max, 0, 8)
+    assert cold["failed"] == 0 and len(cold["cases"]) == 588
+    assert run_verification(n_max, 0, 8)["cases"] == cold["cases"]
+
+
 def untabled(plan, K, L, order):
     """closed_form_HKL(K, L, order) under plan, with no ratio tables stored before or after."""
     with pytest.MonkeyPatch.context() as mp:
@@ -469,9 +571,10 @@ class TestRkSeries:
 
         monkeypatch.setattr(normal_ordering.SemiLinearOp, "apply", unused)
         monkeypatch.setattr(normal_ordering, "exp_action", unused)
+        monkeypatch.setattr(closed_forms, "_LISTS", {})
         for K in (1, 2, 5):
             rk_series(K, 4, 3)
-        assert seen == [0, 0, 0]
+        assert seen == [] and closed_forms._LISTS == {}
 
     def test_grid_digest(self):
         # the JSON of rk_series over the benchmark grid, pinned bit for bit
