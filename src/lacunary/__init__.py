@@ -17,7 +17,6 @@ _EXPORTS = {
     "hermite_egf": "hermite",
     "hermite_poly": "hermite",
     "PoleError": "hypergeom",
-    "pfq_series": "hypergeom",
     "Branch": "operators",
     "dilate_bruteforce": "operators",
     "lemma1_branches": "operators",

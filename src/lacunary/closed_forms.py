@@ -13,12 +13,13 @@ each prefactor x-power x^P by the Leibniz sum D^L x^P, D = x + 2y d/dx,
 
     sum_q q! C(L,q) C(P,q) H_{L-q}(x,y) x^(P-q) (2y)^q.
 
-Each lambda^p coefficient is summed as one row of integers over p!, indexed by the
-y-power k of its monomials x^(Kp+L-2k) y^k; the s-cut at the order is exact.  Nothing
-that depends on K, L or P alone is built twice while it is held: the plan per K; per
-plan, for every L and every order up to the one they were built to, the upper term-ratio
-products per lambda-power and, per branch, the lower ones and the block start values;
-and D^L x^P per (L, P).  Each store holds a fixed number of entries, oldest dropped first.
+Each lambda^p coefficient is one row of integers over p!, indexed by the y-power k of
+its monomials x^(Kp+L-2k) y^k; each block term follows from the one before by a term ratio
+whose products the plan defines.  Nothing that depends on K, L or P alone is built twice
+while held: the plan per K; per plan, for every L and every order up to the one they were
+built to, the upper ratio products per lambda-power and, per branch, the lower ones and
+the block start values; and D^L x^P per (L, P).  Each store holds a fixed number of
+entries, oldest dropped first.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fractions import Fraction
 from math import comb, gcd, perm
 
 from .hermite import fact
-from .hypergeom import ratio_products
+from .hypergeom import PoleError
 from .series import LambdaSeries
 
 
@@ -46,7 +47,7 @@ class ClosedFormPlan(namedtuple("ClosedFormPlan", "K den upper arg branches")):
     (K for even K, 2K for odd K): at lambda-power p the upper parameters are
     (K*p + j)/den for j in ``upper``, and a branch's lower ones are m/den for m in
     its ``lower``.  The block argument is coef * lambda^lp * y^yp for
-    (coef, lp, yp) = ``arg``, coef an integer: the layout ``pfq_series`` takes.
+    (coef, lp, yp) = ``arg``, coef an integer: _ratio_tables reads the term ratios from it.
     """
 
     __slots__ = ()
@@ -90,6 +91,8 @@ def closed_form_plan(K: int) -> ClosedFormPlan:
     non-negative.  K = 1 has the one branch exp(lambda*x) 0F0(;;lambda^2*y).  The plans
     of the last _MAX_PLANS K are held, so a repeated K gets the same object.
     """
+    if type(K) is not int:  # before the lookup: 2.0 == 2 would find K = 2's plan
+        raise TypeError(f"K must be an integer, got {K!r}")
     if (plan := _PLANS.get(K)) is not None:
         return plan
     if K < 1:
@@ -125,26 +128,29 @@ def _leibniz_prefactor(P: int, parts: list[list]) -> list:
 
 
 def _ratio_tables(plan: ClosedFormPlan, order: int) -> list[tuple[list, list, list]]:
-    """Each branch's (down_b, ub, starts), ub and down_b from ``ratio_products``: ub[p] /
-    down_b[t-1] is the ratio of block term t to term t-1 at lambda-power p, times
-    p!/(p-lp)!, and starts[p0] = (K*p0)! / ((K*p0-2b)! b!) for p0 >= d.  No entry depends
-    on the order, only their number does, so tables built to order N serve every order
-    <= N.  They are kept for the last _MAX_PLANS plans, keyed by the plan, never by K; a
-    larger order replaces them whole.  A pole raises PoleError before any is kept."""
+    """Each branch's (down_b, ub, starts), each entry one product that the plan defines:
+    ub[p] / down_b[t-1] is the ratio of block term t to t-1 at lambda-power p, times
+    p!/(p-lp)!, for up[p] = coef p!/(p-lp)! prod_j (K*(p-lp) + j) and down_b[t-1] =
+    t prod_m (m + (t-1)*den), the ratio's powers of den on one of them; starts[p0] =
+    (K*p0)! / ((K*p0-2b)! b!) for p0 >= d.  Tables built to order N serve every order <= N.
+    They are kept for the last _MAX_PLANS plans, keyed by the plan, never by K; a larger
+    order replaces them whole.  A pole raises PoleError before any table is kept."""
     if (held := _TABLES.get(plan)) and held[0] >= order:
         return held[1]
     K, den, (coef, lp, _) = plan.K, plan.den, plan.arg
-    up = [0] * (order + 1)
-    for r in range(lp):  # one class of p - lp mod lp per call: K*(p-lp) steps by den
-        ups, _ = ratio_products([K * r + j for j in plan.upper], (), den, (order - r) // lp + 1)
-        for p, u in zip(range(lp + r, order + 1, lp), ups):
-            up[p] = coef * u * perm(p, lp)
+    up = [coef * perm(p, lp) for p in range(order + 1)]  # perm is 0 below lp
+    for j in plan.upper:
+        up = [u * (K * (p - lp) + j) for p, u in enumerate(up)]
     tables = []
     for d, b, lower in plan.branches:
         e = len(plan.upper) - len(lower)  # the ratio's den^len(lower) / den^len(upper)
-        _, downs = ratio_products((), lower, den, (order - d) // lp + 1)
-        tables.append(([t * den ** max(e, 0) * v for t, v in enumerate(downs, 1)],
-                       up if e >= 0 else [u * den ** -e for u in up],
+        down = [t * den ** max(e, 0) for t in range(1, (order - d) // lp + 1)]
+        for m in lower:
+            down = [v * (m + i * den) for i, v in enumerate(down)]
+        if 0 in down:  # a lower m/den = -i makes term i + 1 divide by 0
+            i = down.index(0)
+            raise PoleError(f"lower parameter {-i} is a pole at term {i + 1} (index reaches 0)")
+        tables.append((down, up if e >= 0 else [u * den ** -e for u in up],
                        [0] * d + [fact(n) // (fact(n - 2 * b) * fact(b))
                                   for n in range(K * d, K * order + 1, K)]))
     return _hold(_TABLES, plan, (order, tables), _MAX_PLANS)[1]

@@ -1,9 +1,10 @@
 """Classical identities that the tests check the package against.
 
 None of them is a construction of the lacunary generating functions: the
-Pochhammer symbol, the Gauss multiplication formula in rational form, the
-Crofton operator identity, the normal-ordering IVP solved by its
-definition, and the closed form summed block by block as the paper writes it.
+Pochhammer symbol, a truncated pFq block built from it, the Gauss
+multiplication formula in rational form, the Crofton operator identity, the
+normal-ordering IVP solved by its definition, and the closed form summed block
+by block as the paper writes it.
 With them are the few series operations that only the tests use: the sum of
 two series, a polynomial's value at a point, and repeated x-derivatives.
 """
@@ -11,7 +12,7 @@ two series, a polynomial's value at a point, and repeated x-derivatives.
 from fractions import Fraction
 from math import factorial
 
-from lacunary import BivarPoly, LambdaSeries, SemiLinearOp, compose, pfq_series
+from lacunary import BivarPoly, LambdaSeries, PoleError, SemiLinearOp, compose
 from lacunary.normal_ordering import exp_action
 
 
@@ -43,6 +44,24 @@ def pochhammer(a, b: int) -> Fraction:
     for k in range(b):
         result *= a + k
     return result
+
+
+def pfq_series(upper, lower, den: int, z: int, count: int) -> list[tuple[int, int]]:
+    """Terms 0 ... count-1 of pFq(upper/den; lower/den; z) as reduced (num, den) pairs,
+    den > 0: term s is z^s prod (a)_s / (s! prod (b)_s), every Pochhammer symbol built
+    afresh.  A lower parameter whose (b)_s is 0 for some s < count raises PoleError,
+    also where an upper one has made the terms 0 already."""
+    terms = []
+    for s in range(count):
+        c = Fraction(z) ** s / factorial(s)
+        for a in upper:
+            c *= pochhammer(Fraction(a, den), s)
+        for b in lower:
+            if not (q := pochhammer(Fraction(b, den), s)):
+                raise PoleError(f"lower parameter {Fraction(b, den)} is a pole at term {s}")
+            c /= q
+        terms.append((c.numerator, c.denominator))
+    return terms
 
 
 def gmfc_check(n: int, s: int, x) -> bool:

@@ -312,6 +312,21 @@ class TestRows:
             closed_form_HKL(4, 0, 2)
         assert closed_form_HKL(4, 0, 1) == closed_form_from_blocks(bad, 1)
 
+    @pytest.mark.parametrize("upper", [(), (-2,)], ids=["no_upper", "zeroing_upper"])
+    def test_pole_is_raised_whatever_the_upper_parameters(self, upper, monkeypatch):
+        # K = 2 with the lower parameter -2 (-4 over den 2), a pole at term 3, which order
+        # 3 reaches and order 2 does not: with no upper parameter, and with the upper -1
+        # at p0 = 0 (-2 over den 2), whose (-1)_t makes every term from t = 2 on 0
+        plan = closed_form_plan(2)
+        bad = plan._replace(upper=upper, branches=(plan.branches[0]._replace(lower=(-4,)),))
+        monkeypatch.setattr(closed_forms, "closed_form_plan", lambda K: bad)
+        for order in (3, 7):
+            with pytest.raises(PoleError):
+                closed_form_HKL(2, 0, order)
+            with pytest.raises(PoleError):
+                closed_form_from_blocks(bad, order)
+        assert closed_form_HKL(2, 0, 2) == closed_form_from_blocks(bad, 2)
+
     def test_negative_lower_parameter_keeps_every_den_positive(self, monkeypatch):
         # K = 2 with the lower parameter -3/2, which has no pole: term 1 divides by -3/2,
         # so a remainder's den is negative until its sign moves to the numerator
@@ -339,20 +354,20 @@ class TestRatioTables:
                 monkeypatch.setattr(closed_forms, "closed_form_plan", lambda K, p=p: p)
                 assert [closed_form_HKL(3, L, 6) for L in (0, 2)] == [want[p, 0], want[p, 2]]
 
-    def test_a_smaller_order_builds_nothing(self, monkeypatch):
-        # K = 5: one upper product per class of lambda-power (lp = 2) and one lower
-        # product per branch (5); a larger order builds them once more, anew
+    def test_a_smaller_order_builds_nothing(self):
+        # K = 5: tables built to order 6 serve a smaller order, another L and rk_series as
+        # the same object; a larger order builds them once more, anew, and serves order 6
         plan = closed_form_plan(5)
         want = {(L, n): untabled(plan, 5, L, n) for L, n in ((0, 6), (3, 2), (0, 4), (1, 8))}
-        calls = []
-        products = closed_forms.ratio_products
-        monkeypatch.setattr(closed_forms, "ratio_products",
-                            lambda *args: calls.append(args) or products(*args))
-        assert closed_form_HKL(5, 0, 6) == want[0, 6] and len(calls) == 7
-        assert closed_form_HKL(5, 3, 2) == want[3, 2] and len(calls) == 7
-        assert rk_series(5, 1, 4).mu_coeffs[0] == want[0, 4] and len(calls) == 7
-        assert closed_form_HKL(5, 1, 8) == want[1, 8] and len(calls) == 14
-        assert closed_form_HKL(5, 0, 6) == want[0, 6] and len(calls) == 14
+        assert closed_form_HKL(5, 0, 6) == want[0, 6]
+        held = closed_forms._TABLES[plan]
+        assert closed_form_HKL(5, 3, 2) == want[3, 2] and closed_forms._TABLES[plan] is held
+        assert rk_series(5, 1, 4).mu_coeffs[0] == want[0, 4]
+        assert closed_forms._TABLES[plan] is held
+        assert closed_form_HKL(5, 1, 8) == want[1, 8]
+        larger = closed_forms._TABLES[plan]
+        assert larger[1] is not held[1]
+        assert closed_form_HKL(5, 0, 6) == want[0, 6] and closed_forms._TABLES[plan] is larger
         assert [order for order, _ in closed_forms._TABLES.values()] == [8]
 
     def test_at_most_16_plans_are_held(self):
@@ -457,6 +472,20 @@ class TestHeldPlans:
             with pytest.raises(ValueError, match="K must be >= 1"):
                 closed_form_plan(K)
         assert closed_forms._PLANS == {}
+
+    def test_a_k_that_is_not_an_integer_is_refused(self):
+        # 2.0 == 2 and True == 1 as dict keys: refused before the lookup, so a held plan
+        # changes nothing, and the store is left as it was
+        for held in ((), (1, 2)):
+            for K in held:
+                closed_form_plan(K)
+            before = dict(closed_forms._PLANS)
+            for K in (2.0, True, "2"):
+                with pytest.raises(TypeError, match="K must be an integer"):
+                    closed_form_plan(K)
+                with pytest.raises(TypeError, match="K must be an integer"):
+                    closed_form_HKL(K, 0, 2)
+            assert closed_forms._PLANS == before
 
     def test_at_most_16_plans_are_held(self):
         plans = [closed_form_plan(K) for K in range(1, 21)]

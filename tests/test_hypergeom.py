@@ -1,4 +1,5 @@
-"""Pochhammer symbols, pFq term-ratio products and blocks, and the multiplication formula."""
+"""Pochhammer symbols, the pFq blocks that the tests sum the closed form from, and the
+multiplication formula."""
 
 from fractions import Fraction
 from math import factorial, lcm
@@ -6,14 +7,9 @@ from math import factorial, lcm
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from identities import gmfc_check, pochhammer
+from identities import gmfc_check, pfq_series, pochhammer
 
-from lacunary import (
-    PoleError,
-    closed_form_plan,
-    pfq_series,
-)
-from lacunary.hypergeom import ratio_products
+from lacunary import PoleError, closed_form_plan
 
 params = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 lower_params = params.filter(lambda b: not (b.denominator == 1 and b <= 0))
@@ -47,32 +43,17 @@ def layout(upper, lower):
 
 
 def reference_terms(upper, lower, z, count):
-    """Term s is z^s prod (a)_s / (s! prod (b)_s), each Pochhammer symbol built afresh."""
-    expected = []
+    """Each term from the one before by the term ratio z prod (a+s) / ((s+1) prod (b+s)),
+    in Fractions: the recurrence, not the Pochhammer symbols that pfq_series builds."""
+    expected, c = [], Fraction(1)
     for s in range(count):
-        c = Fraction(z) ** s / factorial(s)
-        for a in upper:
-            c *= pochhammer(a, s)
-        for b in lower:
-            c /= pochhammer(b, s)
         expected.append((c.numerator, c.denominator))
+        c *= Fraction(z, s + 1)
+        for a in upper:
+            c *= a + s
+        for b in lower:
+            c /= b + s
     return expected
-
-
-class TestRatioProducts:
-    def test_products_step_by_den(self):
-        # (1/4)(3/4) -> (5/4)(7/4) -> (9/4)(11/4) over 4^2, and 2/4 -> 6/4 -> 10/4 over 4
-        assert ratio_products([1, 3], [2], 4, 4) == ([3, 35, 99], [2, 6, 10])
-
-    def test_short_blocks_have_no_ratio(self):
-        assert ratio_products([1], [1], 1, 1) == ([], [])
-        assert ratio_products([1], [1], 1, 0) == ([], [])
-
-    def test_pole_is_raised_without_upper_parameters(self):
-        # -4 over 2 is the pole -2, which a 4-term block reaches at term 3
-        with pytest.raises(PoleError):
-            ratio_products((), [-4], 2, 4)
-        assert ratio_products((), [-4], 2, 3) == ([1, 1], [-4, -2])
 
 
 class TestPfqSeries:

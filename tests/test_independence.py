@@ -14,10 +14,12 @@ import os
 import sys
 
 import pytest
+from identities import closed_form_from_blocks
 
 import lacunary
 from lacunary import (
     closed_form_HKL,
+    closed_form_plan,
     dilate_bruteforce,
     hermite,
     hermite_coeff_table,
@@ -97,3 +99,15 @@ def test_sides_share_only_arithmetic(kind):
                     for f, line in construction.keys() & oracle.keys()
                     if not shared_allowed((f, line)))
     assert not shared, f"{kind}: both sides run {shared}"
+
+
+def test_pfq_block_reference_runs_only_arithmetic():
+    # the closed form summed from the paper's pFq blocks, which the closed-form tests
+    # check it against, runs no package code but series: nothing it shares with the
+    # closed form could carry one defect into both
+    plan = closed_form_plan(5)
+    functions = entered(lambda: closed_form_from_blocks(plan, 6))
+    assert functions, "the hook saw no series arithmetic"
+    others = sorted(f"{os.path.basename(f)}:{line} {name}"
+                    for (f, line), name in functions.items() if f != series.__file__)
+    assert not others, f"the pfq-block reference runs {others}"
